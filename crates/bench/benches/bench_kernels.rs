@@ -1,10 +1,11 @@
-//! Regression benchmarks backing the committed `BENCH_7.json` baseline:
+//! Regression benchmarks backing the committed `BENCH_8.json` baseline:
 //! the blocked GEMM microkernel against the naive triple loop, the
 //! blocked factorization layer (Cholesky, the PSD projection's
 //! eigensolver, the batched small-matrix path) against its unblocked /
 //! Jacobi ancestors, the scratch-pooled IBP/CROWN paths against their
 //! allocating ancestors, exact branch-and-bound verification,
-//! warm-started vs cold solves of a drifting QP, and service throughput.
+//! warm-started vs cold solves of a drifting QP, the QoS power
+//! allocation and Greedy solve, and service throughput.
 //!
 //! Run with JSON output for the gate (pass an absolute path: cargo runs
 //! bench binaries with the package directory, not the workspace root, as
@@ -14,7 +15,7 @@
 //! cargo bench -p rcr-bench --bench bench_kernels --features alloc-count \
 //!     -- --save-json "$PWD/target/bench_current.json"
 //! cargo run -p rcr-bench --bin bench_gate -- \
-//!     target/bench_current.json BENCH_7.json
+//!     target/bench_current.json BENCH_8.json
 //! ```
 //!
 //! All inputs are fixed splitmix64 streams so wall times and (for the
@@ -26,6 +27,9 @@ use rcr_convex::warm::WarmCache;
 use rcr_core::robust::{train_classifier, BlobData, RobustTrainConfig, TrainMode};
 use rcr_kernels::{gemm, gemm_naive, Scratch};
 use rcr_linalg::{BatchFactor, Cholesky, Matrix, SymmetricEigen};
+use rcr_qos::power::{solve_power, PowerProblem};
+use rcr_qos::rra::solve_greedy;
+use rcr_qos::workload::{Scenario, ScenarioConfig};
 use rcr_qos::QosClass;
 use rcr_serve::{Payload, ScenarioSpec, Service, ServiceConfig, SolveRequest, SolverKind, Ticket};
 use rcr_verify::bounds::{interval_bounds, interval_bounds_scratch};
@@ -359,6 +363,44 @@ fn bench_warm(c: &mut Criterion) {
     group.finish();
 }
 
+/// The QoS layer on the serve-cold request shape (3 users, 6 RBs, eMBB
+/// minimum rates): the power-allocation inner solve at the Greedy
+/// assignment, which runs the full 300 subgradient iterations on this
+/// instance, and the whole Greedy solve (assignment, repair and its
+/// re-evaluations). Both are single-threaded, so the baseline pins their
+/// allocation counts: a change that brings back per-step allocation in
+/// the water-filling fails the gate.
+fn bench_qos(c: &mut Criterion) {
+    let config = ScenarioConfig::single_class(QosClass::Embb, 3, 6);
+    let scenario = Scenario::generate(&config, 0).expect("scenario");
+    let rra = &scenario.rra;
+    let owners = solve_greedy(rra).expect("greedy").owners;
+    let problem = PowerProblem {
+        gains: owners
+            .iter()
+            .enumerate()
+            .map(|(k, &u)| rra.normalized_gain(u, k))
+            .collect(),
+        owners,
+        power_budget: rra.power_budget_w,
+        rb_bandwidth_hz: rra.rb_bandwidth_hz,
+        min_rates_bps: rra.min_rates_bps.clone(),
+    };
+    let mut group = c.benchmark_group("qos");
+    group.sample_size(30);
+    group.bench_function("solve_power/3x6", |b| {
+        b.iter(|| {
+            solve_power(black_box(&problem))
+                .expect("power")
+                .total_rate_bps
+        })
+    });
+    group.bench_function("greedy/3x6", |b| {
+        b.iter(|| solve_greedy(black_box(rra)).expect("greedy").total_rate_bps)
+    });
+    group.finish();
+}
+
 /// Enqueue-to-response throughput for a fixed mixed-class trace through
 /// the service at 2 workers. Worker threads allocate nondeterministically,
 /// so the baseline leaves this entry's allocation count unpinned.
@@ -409,6 +451,7 @@ criterion_group!(
     bench_crown,
     bench_bnb,
     bench_warm,
+    bench_qos,
     bench_serve
 );
 criterion_main!(benches);

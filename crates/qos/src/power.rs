@@ -70,29 +70,36 @@ fn rate_bps(bandwidth: f64, a: f64, p: f64) -> f64 {
 }
 
 /// Weighted water-filling: maximize `Σ w_k log(1 + a_k p_k)` subject to
-/// `Σ p ≤ budget`, `p ≥ 0`. Exact via bisection on the water level.
-// rcr-lint: unit(gains = GainLinear, budget = PowerLinear, reason = "water-filling works on linear normalized gains and a watt budget, never dB")
-fn weighted_waterfill(gains: &[f64], weights: &[f64], budget: f64) -> Vec<f64> {
-    let power_at = |lambda: f64| -> Vec<f64> {
-        gains
-            .iter()
-            .zip(weights)
-            .map(|(&a, &w)| ((w / lambda) - 1.0 / a).max(0.0))
-            .collect()
-    };
+/// `Σ p ≤ budget`, `p ≥ 0`, writing `p` into `powers`. Exact via
+/// geometric bisection on the water level `λ`, taking `1/a_k` precomputed.
+///
+/// The bisection state is `(lo, hi)` alone, so a step that leaves both
+/// unchanged has reached a fixed point: every later step would repeat
+/// it. Stopping there returns the same bits as running all 200 steps.
+// rcr-lint: unit(budget = PowerLinear, reason = "water-filling works on linear inverse normalized gains and a watt budget, never dB")
+fn weighted_waterfill(inv_gains: &[f64], weights: &[f64], budget: f64, powers: &mut [f64]) {
+    let power = |inv_a: f64, w: f64, lambda: f64| ((w / lambda) - inv_a).max(0.0);
     // λ ∈ (0, ∞): total power decreases in λ. Find λ with Σp = budget.
     let mut lo = 1e-12f64;
     let mut hi = 1e12;
     for _ in 0..200 {
         let mid = (lo * hi).sqrt(); // geometric bisection for scale-freeness
-        let total: f64 = power_at(mid).iter().sum();
-        if total > budget {
-            lo = mid;
-        } else {
-            hi = mid;
+        let total: f64 = inv_gains
+            .iter()
+            .zip(weights)
+            .map(|(&inv_a, &w)| power(inv_a, w, mid))
+            .sum();
+        let (next_lo, next_hi) = if total > budget { (mid, hi) } else { (lo, mid) };
+        if next_lo == lo && next_hi == hi {
+            break;
         }
+        lo = next_lo;
+        hi = next_hi;
     }
-    power_at((lo * hi).sqrt())
+    let level = (lo * hi).sqrt();
+    for ((p, &inv_a), &w) in powers.iter_mut().zip(inv_gains).zip(weights) {
+        *p = power(inv_a, w, level);
+    }
 }
 
 /// Solves the constrained power allocation.
@@ -147,62 +154,61 @@ pub fn solve_power(problem: &PowerProblem) -> Result<PowerSolution, QosError> {
         ));
     }
 
-    let user_rates = |powers: &[f64]| -> Vec<f64> {
-        let mut rates = vec![0.0; users];
-        for ((&p, &a), &u) in powers.iter().zip(&problem.gains).zip(&problem.owners) {
-            rates[u] += rate_bps(problem.rb_bandwidth_hz, a, p);
-        }
-        rates
-    };
-
     // Dual subgradient on μ ≥ 0 (one per user with a positive min rate).
+    // Every buffer lives across iterations; only an improving candidate
+    // is copied out into `best`.
+    let bandwidth = problem.rb_bandwidth_hz;
+    let scale = bandwidth.max(1.0);
+    let inv_gains: Vec<f64> = problem.gains.iter().map(|&a| 1.0 / a).collect();
     let mut mu = vec![0.0; users];
+    let mut weights = vec![0.0; k];
+    let mut powers = vec![0.0; k];
+    let mut rb_rates = vec![0.0; k];
+    let mut rates = vec![0.0; users];
     let mut best: Option<PowerSolution> = None;
     let iterations = 300;
     for it in 0..iterations {
-        let weights: Vec<f64> = problem.owners.iter().map(|&u| 1.0 + mu[u]).collect();
-        let powers = weighted_waterfill(&problem.gains, &weights, problem.power_budget);
-        let rates = user_rates(&powers);
-        let violation: Vec<f64> = rates
+        // Owners were range-checked above, so every `get` hits.
+        for (w, &u) in weights.iter_mut().zip(&problem.owners) {
+            *w = 1.0 + mu.get(u).copied().unwrap_or(0.0);
+        }
+        weighted_waterfill(&inv_gains, &weights, problem.power_budget, &mut powers);
+        for ((r, &p), &a) in rb_rates.iter_mut().zip(&powers).zip(&problem.gains) {
+            *r = rate_bps(bandwidth, a, p);
+        }
+        rates.fill(0.0);
+        for (&r, &u) in rb_rates.iter().zip(&problem.owners) {
+            if let Some(rate) = rates.get_mut(u) {
+                *rate += r;
+            }
+        }
+        let feasible = rates
             .iter()
             .zip(&problem.min_rates_bps)
-            .map(|(r, m)| m - r)
-            .collect();
-        let feasible = violation
-            .iter()
-            .all(|&v| v <= 1e-6 * problem.rb_bandwidth_hz.max(1.0));
-
-        let rb_rates: Vec<f64> = powers
-            .iter()
-            .zip(&problem.gains)
-            .map(|(&p, &a)| rate_bps(problem.rb_bandwidth_hz, a, p))
-            .collect();
+            .all(|(r, m)| m - r <= 1e-6 * scale);
         let total: f64 = rb_rates.iter().sum();
-        let candidate = PowerSolution {
-            powers,
-            rb_rates_bps: rb_rates,
-            user_rates_bps: rates,
-            total_rate_bps: total,
-            feasible,
-        };
+
         let better = match &best {
             None => true,
             Some(b) => {
-                (candidate.feasible && !b.feasible)
-                    || (candidate.feasible == b.feasible
-                        && candidate.total_rate_bps > b.total_rate_bps)
+                (feasible && !b.feasible) || (feasible == b.feasible && total > b.total_rate_bps)
             }
         };
         if better {
-            best = Some(candidate);
+            let b = best.get_or_insert_with(PowerSolution::empty);
+            b.powers.clone_from(&powers);
+            b.rb_rates_bps.clone_from(&rb_rates);
+            b.user_rates_bps.clone_from(&rates);
+            b.total_rate_bps = total;
+            b.feasible = feasible;
         }
         if feasible && mu.iter().all(|&m| m == 0.0) {
             break; // unconstrained optimum already satisfies the rates
         }
         // Subgradient step on μ: grow where violated, shrink otherwise.
         let step = 2.0 / (1.0 + it as f64).sqrt();
-        for (m, v) in mu.iter_mut().zip(&violation) {
-            *m = (*m + step * v / problem.rb_bandwidth_hz.max(1.0)).max(0.0);
+        for ((m, r), min) in mu.iter_mut().zip(&rates).zip(&problem.min_rates_bps) {
+            *m = (*m + step * (min - r) / scale).max(0.0);
         }
     }
     best.ok_or_else(|| {

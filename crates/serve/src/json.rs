@@ -39,10 +39,12 @@ impl JsonObject {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// `get` narrowed to a non-negative integer that fits `u64` exactly.
+    /// `get` narrowed to a non-negative integer below 2^53, the range in
+    /// which a parsed `f64` stands for exactly one integer literal (2^53
+    /// itself is also what `9007199254740993` rounds to).
     pub fn get_u64(&self, key: &str) -> Option<u64> {
         match self.get(key)? {
-            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+            JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => {
                 Some(*n as u64)
             }
             _ => None,
@@ -399,6 +401,12 @@ mod tests {
         assert_eq!(obj.get_u64("c"), None);
         assert_eq!(obj.get_u64("d"), None);
         assert_eq!(obj.get_u64("e"), None, "beyond exact-integer range");
+        let v = parse(r#"{"max":9007199254740991,"pow":9007199254740992,"over":9007199254740993}"#)
+            .unwrap();
+        let obj = v.as_object().unwrap();
+        assert_eq!(obj.get_u64("max"), Some((1 << 53) - 1));
+        assert_eq!(obj.get_u64("pow"), None, "2^53 is ambiguous");
+        assert_eq!(obj.get_u64("over"), None, "rounds to 2^53");
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! ← {"outcome":"metrics", ...per-class counters and latency summaries...}
 //! ```
 //!
+//! `seed` defaults to the request `id` when absent. It is a JSON number
+//! below 2^53 or, for any `u64`, a decimal string (`"seed":"18446744073709551615"`);
+//! [`encode_request`] writes seeds from 2^53 up as strings. A `seed` that
+//! is present but neither is a malformed request, never a substitution.
+//!
 //! Floats are emitted with Rust's shortest-round-trip formatting, so a
 //! rate crossing the wire parses back to the identical `f64` bits —
 //! which is what lets the loopback integration test assert bit-equal
@@ -44,6 +49,13 @@ pub fn encode_request(request: &SolveRequest) -> Result<String, String> {
     let Payload::Scenario(spec) = &request.payload else {
         return Err("only scenario payloads are wire-encodable".into());
     };
+    // A JSON number is an f64, exact only below 2^53; larger seeds
+    // travel as decimal strings so every u64 round-trips.
+    let seed = if spec.seed < 1 << 53 {
+        spec.seed.to_string()
+    } else {
+        json::encode_str(&spec.seed.to_string())
+    };
     Ok(format!(
         "{{\"id\":{},\"class\":{},\"deadline_us\":{},\"users\":{},\"rbs\":{},\"seed\":{},\"solver\":{}}}",
         request.id,
@@ -51,7 +63,7 @@ pub fn encode_request(request: &SolveRequest) -> Result<String, String> {
         request.deadline.as_micros(),
         spec.users,
         spec.resource_blocks,
-        spec.seed,
+        seed,
         json::encode_str(request.solver.name()),
     ))
 }
@@ -96,7 +108,12 @@ pub fn parse_request(line: &str) -> Result<WireCommand, String> {
     };
     let users = obj.get_u64("users").unwrap_or(3) as usize;
     let resource_blocks = obj.get_u64("rbs").unwrap_or(6) as usize;
-    let seed = obj.get_u64("seed").unwrap_or(id);
+    let seed = match obj.get("seed") {
+        None => Some(id),
+        Some(JsonValue::String(text)) => text.parse().ok(),
+        Some(_) => obj.get_u64("seed"),
+    }
+    .ok_or("\"seed\" must be an integer below 2^53 or a decimal u64 string")?;
     Ok(WireCommand::Solve(SolveRequest {
         id,
         class,
@@ -500,6 +517,60 @@ mod tests {
                 }
             }
             WireCommand::Metrics => panic!("parsed as metrics"),
+        }
+    }
+
+    fn parsed_seed(line: &str) -> Result<u64, String> {
+        match parse_request(line)? {
+            WireCommand::Solve(SolveRequest {
+                payload: Payload::Scenario(spec),
+                ..
+            }) => Ok(spec.seed),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn full_range_seeds_round_trip_exactly() {
+        for seed in [0, 42, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX] {
+            let mut req = request(5);
+            req.payload = Payload::Scenario(ScenarioSpec {
+                users: 3,
+                resource_blocks: 6,
+                seed,
+            });
+            let line = encode_request(&req).unwrap();
+            assert_eq!(
+                line.contains(&format!("\"{seed}\"")),
+                seed >= 1 << 53,
+                "{line}"
+            );
+            assert_eq!(parsed_seed(&line), Ok(seed), "{line}");
+        }
+    }
+
+    #[test]
+    fn inexact_seeds_are_malformed_not_substituted() {
+        let line =
+            |seed: &str| format!(r#"{{"id":3,"class":"embb","deadline_us":100,"seed":{seed}}}"#);
+        assert_eq!(parsed_seed(&line("7")), Ok(7));
+        assert_eq!(parsed_seed(&line(r#""7""#)), Ok(7));
+        for bad in [
+            "18446744073709551615",
+            "9007199254740993",
+            "9007199254740992",
+            "-1",
+            "2.5",
+            "null",
+            "true",
+            r#""18446744073709551616""#,
+            r#""-1""#,
+            r#"" 1""#,
+            r#""1.0""#,
+            r#""""#,
+        ] {
+            let err = parsed_seed(&line(bad)).unwrap_err();
+            assert!(err.contains("seed"), "{bad}: {err}");
         }
     }
 

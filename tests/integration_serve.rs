@@ -313,3 +313,71 @@ fn wire_rejects_malformed_lines_without_dropping_the_connection() {
     assert_eq!(resp.id, 1);
     assert!(matches!(resp.outcome, Outcome::Solved(_)));
 }
+
+#[test]
+fn wire_seeds_round_trip_exactly_or_are_refused() {
+    let service = Service::spawn(config(1)).expect("valid policy");
+    let client = service.client();
+    let frontend = TcpFrontend::bind("127.0.0.1:0", service.client()).expect("bind loopback");
+    let stream = TcpStream::connect(frontend.local_addr()).expect("connect loopback");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |line: &str| -> String {
+        writer.write_all(line.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("read response line");
+        reply
+    };
+
+    // Full 64-bit seeds reach the solver unchanged: the TCP answer is
+    // bit-identical to the in-process one for the same spec, and differs
+    // from the answer for a seed silently replaced by the request id.
+    let solved = |resp: &rcr::serve::SolveResponse| match &resp.outcome {
+        Outcome::Solved(s) => (
+            s.solution.owners.clone(),
+            s.solution.total_rate_bps.to_bits(),
+        ),
+        other => panic!("request {}: unexpected {other:?}", resp.id),
+    };
+    let request = |id: u64, seed: u64| SolveRequest {
+        id,
+        class: QosClass::Embb,
+        deadline: Duration::from_secs(60),
+        solver: SolverKind::Greedy,
+        payload: Payload::Scenario(ScenarioSpec {
+            users: 3,
+            resource_blocks: 6,
+            seed,
+        }),
+    };
+    for (id, seed) in [(1, u64::MAX), (2, (1 << 53) + 1)] {
+        let line = wire::encode_request(&request(id, seed)).expect("encodable");
+        let over_tcp = wire::parse_response(exchange(&line).trim_end()).expect("response");
+        assert_eq!(over_tcp.id, id);
+        let in_process = client.submit(request(id, seed)).wait().expect("response");
+        let by_id = client.submit(request(id, id)).wait().expect("response");
+        assert_eq!(solved(&over_tcp), solved(&in_process), "seed {seed}");
+        assert_ne!(solved(&over_tcp), solved(&by_id), "seed {seed}");
+    }
+
+    // A seed that is present but not an exact u64 is a malformed line,
+    // and the connection keeps serving afterwards.
+    for seed in ["18446744073709551615", "9007199254740993", "-4", "6.5"] {
+        let line = format!(r#"{{"id":9,"class":"eMBB","deadline_us":60000000,"seed":{seed}}}"#);
+        let reply = exchange(&line);
+        assert!(
+            reply.contains("\"outcome\":\"error\"") && reply.contains("seed"),
+            "seed {seed}: {reply:?}"
+        );
+    }
+    let reply = exchange(r#"{"id":9,"class":"eMBB","deadline_us":60000000,"seed":"6"}"#);
+    let resp = wire::parse_response(reply.trim_end()).expect("response");
+    assert!(matches!(resp.outcome, Outcome::Solved(_)), "{reply:?}");
+
+    drop(writer);
+    drop(reader);
+    drop(frontend);
+    service.shutdown();
+}
