@@ -34,7 +34,7 @@
 //! can never be silently dropped from either side, and new benches added
 //! under the group must land a baseline entry in the same change.
 
-use rcr_lint::jsonio::{self, Value};
+use rcr_codec::json::{self, JsonValue};
 use std::collections::BTreeMap;
 
 /// One parsed benchmark result.
@@ -100,55 +100,48 @@ pub struct AllocReductionCheck {
     pub max_fraction: f64,
 }
 
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Num(n) => Some(*n),
-        _ => None,
-    }
-}
-
 impl BenchReport {
     /// Parses a result or baseline JSON document.
     ///
     /// # Errors
     /// Malformed JSON, wrong schema tag, or missing/ill-typed fields.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
-        let root = jsonio::parse(text)?;
-        let schema = root.get("schema").and_then(Value::as_str).unwrap_or("");
+        let root = json::parse(text)?;
+        let schema = root.get("schema").and_then(JsonValue::as_str).unwrap_or("");
         if schema != "rcr-bench-v1" {
             return Err(format!("unsupported schema {schema:?}"));
         }
         let mut results = BTreeMap::new();
         for (i, item) in root
             .get("results")
-            .and_then(Value::as_arr)
+            .and_then(JsonValue::as_array)
             .ok_or("missing results array")?
             .iter()
             .enumerate()
         {
             let id = item
                 .get("id")
-                .and_then(Value::as_str)
+                .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("result {i} has no id"))?
                 .to_string();
             let mean_ns = item
                 .get("mean_ns")
-                .and_then(as_f64)
+                .and_then(JsonValue::as_f64)
                 .ok_or_else(|| format!("result {id:?} has no mean_ns"))?;
             if !(mean_ns > 0.0) {
                 return Err(format!("result {id:?} has non-positive mean_ns"));
             }
-            let min_ns = match item.get("min_ns").and_then(as_f64) {
+            let min_ns = match item.get("min_ns").and_then(JsonValue::as_f64) {
                 Some(v) if v > 0.0 => v,
                 Some(_) => return Err(format!("result {id:?} has non-positive min_ns")),
                 None => mean_ns,
             };
-            let p25_ns = match item.get("p25_ns").and_then(as_f64) {
+            let p25_ns = match item.get("p25_ns").and_then(JsonValue::as_f64) {
                 Some(v) if v > 0.0 => Some(v),
                 Some(_) => return Err(format!("result {id:?} has non-positive p25_ns")),
                 None => None,
             };
-            let allocs_per_iter = item.get("allocs_per_iter").and_then(Value::as_u64);
+            let allocs_per_iter = item.get("allocs_per_iter").and_then(JsonValue::as_u64);
             if results
                 .insert(
                     id.clone(),
@@ -165,7 +158,7 @@ impl BenchReport {
             }
         }
         let mut speedups = Vec::new();
-        if let Some(items) = root.get("speedups").and_then(Value::as_arr) {
+        if let Some(items) = root.get("speedups").and_then(JsonValue::as_array) {
             for item in items {
                 speedups.push(SpeedupCheck {
                     faster: req_str(item, "faster")?,
@@ -175,7 +168,7 @@ impl BenchReport {
             }
         }
         let mut alloc_reductions = Vec::new();
-        if let Some(items) = root.get("alloc_reductions").and_then(Value::as_arr) {
+        if let Some(items) = root.get("alloc_reductions").and_then(JsonValue::as_array) {
             for item in items {
                 alloc_reductions.push(AllocReductionCheck {
                     lean: req_str(item, "lean")?,
@@ -185,7 +178,7 @@ impl BenchReport {
             }
         }
         let mut required_groups = Vec::new();
-        if let Some(items) = root.get("required_groups").and_then(Value::as_arr) {
+        if let Some(items) = root.get("required_groups").and_then(JsonValue::as_array) {
             for item in items {
                 let prefix = item
                     .as_str()
@@ -200,7 +193,7 @@ impl BenchReport {
             results,
             alloc_counting: root
                 .get("alloc_counting")
-                .and_then(Value::as_bool)
+                .and_then(JsonValue::as_bool)
                 .unwrap_or(false),
             speedups,
             alloc_reductions,
@@ -209,16 +202,16 @@ impl BenchReport {
     }
 }
 
-fn req_str(item: &Value, key: &str) -> Result<String, String> {
+fn req_str(item: &JsonValue, key: &str) -> Result<String, String> {
     item.get(key)
-        .and_then(Value::as_str)
+        .and_then(JsonValue::as_str)
         .map(str::to_string)
         .ok_or_else(|| format!("check entry missing string field {key:?}"))
 }
 
-fn req_num(item: &Value, key: &str) -> Result<f64, String> {
+fn req_num(item: &JsonValue, key: &str) -> Result<f64, String> {
     item.get(key)
-        .and_then(as_f64)
+        .and_then(JsonValue::as_f64)
         .ok_or_else(|| format!("check entry missing numeric field {key:?}"))
 }
 

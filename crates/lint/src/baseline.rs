@@ -14,9 +14,9 @@
 //! Lexical findings never consult the baseline; they are precise enough
 //! to stay at zero outright.
 
-use crate::diag::Diagnostic;
-use crate::jsonio::{self, obj, s, Value};
+use crate::diag::{n, obj, s, Diagnostic};
 use crate::sem::passes::SEMANTIC_RULES;
+use rcr_codec::json::{self, JsonValue};
 use std::path::Path;
 
 /// Diagnostic slug for baseline entries that matched nothing.
@@ -54,21 +54,21 @@ impl Baseline {
     }
 
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let v = jsonio::parse(text)?;
-        if v.get("version").and_then(Value::as_u64) != Some(1) {
+        let v = json::parse(text)?;
+        if v.get("version").and_then(JsonValue::as_u64) != Some(1) {
             return Err("unsupported baseline version (want 1)".into());
         }
         let mut entries = Vec::new();
         for (i, e) in v
             .get("entries")
-            .and_then(Value::as_arr)
+            .and_then(JsonValue::as_array)
             .ok_or("missing entries array")?
             .iter()
             .enumerate()
         {
             let field = |k: &str| -> Result<String, String> {
                 e.get(k)
-                    .and_then(Value::as_str)
+                    .and_then(JsonValue::as_str)
                     .map(str::to_string)
                     .ok_or(format!("entry {i}: missing string field {k:?}"))
             };
@@ -143,7 +143,7 @@ impl Baseline {
     /// diagnostics (`--write-baseline`). Notes default to the finding's
     /// message so the file is reviewable as written.
     pub fn render_from(diags: &[Diagnostic]) -> String {
-        let mut entries: Vec<Value> = Vec::new();
+        let mut entries: Vec<JsonValue> = Vec::new();
         for d in diags {
             if !SEMANTIC_RULES.contains(&d.rule) {
                 continue;
@@ -156,8 +156,8 @@ impl Baseline {
             ]));
         }
         let doc = obj(vec![
-            ("version", jsonio::n(1)),
-            ("entries", Value::Arr(entries)),
+            ("version", n(1)),
+            ("entries", JsonValue::Array(entries)),
         ]);
         // Pretty-ish: one entry per line so review diffs are per-finding.
         doc.render()

@@ -13,11 +13,11 @@
 //! fixed keys, so values are stable across runs); bump
 //! [`ANALYZER_VERSION`] whenever rules or extraction change shape.
 
-use crate::diag::Diagnostic;
+use crate::diag::{n, obj, s, Diagnostic};
 use crate::engine::{FileReport, RuleStats};
-use crate::jsonio::{self, n, obj, s, Value};
 use crate::rules::{registry, BAD_PRAGMA};
 use crate::sem::{passes, Call, FileSem, FnDef, LockAcq, RiskySite, Site};
+use rcr_codec::json::{self, JsonObject, JsonValue};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
@@ -33,11 +33,11 @@ pub const CACHE_REL_PATH: &str = "target/rcr-lint-cache.json";
 #[derive(Debug, Default)]
 pub struct Cache {
     /// rel_path → (content hash, serialized report).
-    entries: BTreeMap<String, (u64, Value)>,
+    entries: BTreeMap<String, (u64, JsonValue)>,
     /// Serialized result of the last whole-workspace semantic run
     /// (graph shape + pre-baseline pass diagnostics), reusable by
     /// `--changed-only` when no contributing extraction changed.
-    passes: Option<Value>,
+    passes: Option<JsonValue>,
     path: Option<PathBuf>,
     pub hits: usize,
     pub misses: usize,
@@ -94,26 +94,26 @@ impl Cache {
         let Ok(text) = std::fs::read_to_string(&path) else {
             return cache;
         };
-        let Ok(v) = jsonio::parse(&text) else {
+        let Ok(v) = json::parse(&text) else {
             return cache;
         };
-        if v.get("version").and_then(Value::as_u64) != Some(ANALYZER_VERSION) {
+        if v.get("version").and_then(JsonValue::as_u64) != Some(ANALYZER_VERSION) {
             return cache;
         }
-        if v.get("ruleset").and_then(Value::as_str) != Some(fingerprint.to_string().as_str()) {
+        if v.get("ruleset").and_then(JsonValue::as_str) != Some(fingerprint.to_string().as_str()) {
             return cache;
         }
-        if let Some(Value::Obj(files)) = v.get("files") {
-            for (rel, entry) in files {
+        if let Some(files) = v.get("files").and_then(JsonValue::as_object) {
+            for (rel, entry) in files.iter() {
                 let Some(hash) = entry
                     .get("hash")
-                    .and_then(Value::as_str)
+                    .and_then(JsonValue::as_str)
                     .and_then(|h| h.parse::<u64>().ok())
                 else {
                     continue;
                 };
                 if let Some(report) = entry.get("report") {
-                    cache.entries.insert(rel.clone(), (hash, report.clone()));
+                    cache.entries.insert(rel.into(), (hash, report.clone()));
                 }
             }
         }
@@ -184,25 +184,10 @@ impl Cache {
     /// Records the whole-workspace pass results (graph shape plus
     /// pre-baseline pass diagnostics) for later reuse.
     pub fn store_passes(&mut self, graph_fns: usize, graph_edges: usize, diags: &[Diagnostic]) {
-        let ds: Vec<Value> = diags
-            .iter()
-            .map(|d| {
-                let mut fields = vec![
-                    ("rule", s(d.rule)),
-                    ("file", s(&d.file)),
-                    ("line", n(d.line as u64)),
-                    ("message", s(&d.message)),
-                ];
-                if let Some(sym) = &d.symbol {
-                    fields.push(("symbol", s(sym)));
-                }
-                obj(fields)
-            })
-            .collect();
         self.passes = Some(obj(vec![
             ("graph_fns", n(graph_fns as u64)),
             ("graph_edges", n(graph_edges as u64)),
-            ("diagnostics", Value::Arr(ds)),
+            ("diagnostics", diags_to_json(diags)),
         ]));
         self.dirty = true;
     }
@@ -213,17 +198,7 @@ impl Cache {
         let p = self.passes.as_ref()?;
         let fns = p.get("graph_fns")?.as_u64()? as usize;
         let edges = p.get("graph_edges")?.as_u64()? as usize;
-        let mut diags = Vec::new();
-        for d in p.get("diagnostics")?.as_arr()? {
-            diags.push(Diagnostic {
-                rule: intern_rule(d.get("rule")?.as_str()?)?,
-                file: d.get("file")?.as_str()?.to_string(),
-                line: d.get("line")?.as_u64()? as u32,
-                message: d.get("message")?.as_str()?.to_string(),
-                symbol: d.get("symbol").and_then(Value::as_str).map(str::to_string),
-            });
-        }
-        Some((fns, edges, diags))
+        Some((fns, edges, diags_from_json(p.get("diagnostics")?)?))
     }
 
     /// Persists the cache (best-effort; errors are swallowed).
@@ -232,7 +207,7 @@ impl Cache {
         if !self.dirty {
             return;
         }
-        let files: BTreeMap<String, Value> = self
+        let files: JsonObject = self
             .entries
             .iter()
             .map(|(rel, (hash, report))| {
@@ -248,7 +223,7 @@ impl Cache {
         let mut fields = vec![
             ("version", n(ANALYZER_VERSION)),
             ("ruleset", s(&self.fingerprint.to_string())),
-            ("files", Value::Obj(files)),
+            ("files", JsonValue::Object(files)),
         ];
         if let Some(p) = &self.passes {
             fields.push(("passes", p.clone()));
@@ -272,12 +247,12 @@ fn intern_rule(name: &str) -> Option<&'static str> {
         .find(|slug| *slug == name)
 }
 
-fn strings(items: &[String]) -> Value {
-    Value::Arr(items.iter().map(|x| s(x)).collect())
+fn strings(items: &[String]) -> JsonValue {
+    JsonValue::Array(items.iter().map(|x| s(x)).collect())
 }
 
-fn read_strings(v: Option<&Value>) -> Vec<String> {
-    v.and_then(Value::as_arr)
+fn read_strings(v: Option<&JsonValue>) -> Vec<String> {
+    v.and_then(JsonValue::as_array)
         .map(|a| {
             a.iter()
                 .filter_map(|x| x.as_str().map(str::to_string))
@@ -286,35 +261,57 @@ fn read_strings(v: Option<&Value>) -> Vec<String> {
         .unwrap_or_default()
 }
 
-fn site_to_json(site: &Site) -> Value {
-    obj(vec![("line", n(site.line as u64)), ("what", s(&site.what))])
+fn sites_to_json(sites: &[Site]) -> JsonValue {
+    let site = |site: &Site| obj(vec![("line", n(site.line as u64)), ("what", s(&site.what))]);
+    JsonValue::Array(sites.iter().map(site).collect())
 }
 
-fn site_from_json(v: &Value) -> Option<Site> {
-    Some(Site {
-        line: v.get("line")?.as_u64()? as u32,
-        what: v.get("what")?.as_str()?.to_string(),
-    })
-}
-
-fn report_to_json(r: &FileReport) -> Value {
-    let diags: Vec<Value> = r
-        .diagnostics
-        .iter()
-        .map(|d| {
-            let mut fields = vec![
-                ("rule", s(d.rule)),
-                ("file", s(&d.file)),
-                ("line", n(d.line as u64)),
-                ("message", s(&d.message)),
-            ];
-            if let Some(sym) = &d.symbol {
-                fields.push(("symbol", s(sym)));
-            }
-            obj(fields)
+/// Malformed entries are skipped; a non-array is `None`.
+fn sites_from_json(v: &JsonValue) -> Option<Vec<Site>> {
+    let site = |v: &JsonValue| {
+        Some(Site {
+            line: v.get("line")?.as_u64()? as u32,
+            what: v.get("what")?.as_str()?.to_string(),
         })
-        .collect();
-    let stats: BTreeMap<String, Value> = r
+    };
+    Some(v.as_array()?.iter().filter_map(site).collect())
+}
+
+fn diags_to_json(diags: &[Diagnostic]) -> JsonValue {
+    let diag = |d: &Diagnostic| {
+        let mut fields = vec![
+            ("rule", s(d.rule)),
+            ("file", s(&d.file)),
+            ("line", n(d.line as u64)),
+            ("message", s(&d.message)),
+        ];
+        if let Some(sym) = &d.symbol {
+            fields.push(("symbol", s(sym)));
+        }
+        obj(fields)
+    };
+    JsonValue::Array(diags.iter().map(diag).collect())
+}
+
+/// `None` if any entry is malformed or names an unknown rule.
+fn diags_from_json(v: &JsonValue) -> Option<Vec<Diagnostic>> {
+    let diag = |d: &JsonValue| {
+        Some(Diagnostic {
+            rule: intern_rule(d.get("rule")?.as_str()?)?,
+            file: d.get("file")?.as_str()?.to_string(),
+            line: d.get("line")?.as_u64()? as u32,
+            message: d.get("message")?.as_str()?.to_string(),
+            symbol: d
+                .get("symbol")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string),
+        })
+    };
+    v.as_array()?.iter().map(diag).collect()
+}
+
+fn report_to_json(r: &FileReport) -> JsonValue {
+    let stats: JsonObject = r
         .stats
         .iter()
         .map(|(slug, st)| {
@@ -327,14 +324,14 @@ fn report_to_json(r: &FileReport) -> Value {
             )
         })
         .collect();
-    let fns: Vec<Value> = r.sem.fns.iter().map(fn_to_json).collect();
+    let fns: Vec<JsonValue> = r.sem.fns.iter().map(fn_to_json).collect();
     obj(vec![
-        ("diagnostics", Value::Arr(diags)),
-        ("stats", Value::Obj(stats)),
+        ("diagnostics", diags_to_json(&r.diagnostics)),
+        ("stats", JsonValue::Object(stats)),
         (
             "sem",
             obj(vec![
-                ("fns", Value::Arr(fns)),
+                ("fns", JsonValue::Array(fns)),
                 ("cut_panics", n(r.sem.cut_panics as u64)),
                 ("cut_taints", n(r.sem.cut_taints as u64)),
                 ("cut_risky", n(r.sem.cut_risky as u64)),
@@ -347,24 +344,24 @@ fn report_to_json(r: &FileReport) -> Value {
     ])
 }
 
-fn fn_to_json(f: &FnDef) -> Value {
+fn fn_to_json(f: &FnDef) -> JsonValue {
     obj(vec![
         ("crate", s(&f.crate_name)),
         ("file", s(&f.file)),
         ("module", s(&f.module)),
         ("name", s(&f.name)),
-        ("qual", f.qual.as_deref().map(s).unwrap_or(Value::Null)),
-        ("is_pub", Value::Bool(f.is_pub)),
-        ("has_self", Value::Bool(f.has_self)),
+        ("qual", f.qual.as_deref().map(s).unwrap_or(JsonValue::Null)),
+        ("is_pub", JsonValue::Bool(f.is_pub)),
+        ("has_self", JsonValue::Bool(f.has_self)),
         ("line", n(f.line as u64)),
-        ("cut_panic", Value::Bool(f.cut_panic)),
-        ("cut_taint", Value::Bool(f.cut_taint)),
-        ("cut_alloc", Value::Bool(f.cut_alloc)),
-        ("cut_unit", Value::Bool(f.cut_unit)),
+        ("cut_panic", JsonValue::Bool(f.cut_panic)),
+        ("cut_taint", JsonValue::Bool(f.cut_taint)),
+        ("cut_alloc", JsonValue::Bool(f.cut_alloc)),
+        ("cut_unit", JsonValue::Bool(f.cut_unit)),
         ("params", strings(&f.params)),
         (
             "units",
-            Value::Arr(
+            JsonValue::Array(
                 f.units
                     .iter()
                     .map(|(name, dim)| obj(vec![("name", s(name)), ("dim", s(dim))]))
@@ -373,13 +370,13 @@ fn fn_to_json(f: &FnDef) -> Value {
         ),
         (
             "calls",
-            Value::Arr(
+            JsonValue::Array(
                 f.calls
                     .iter()
                     .map(|c| {
                         obj(vec![
                             ("path", strings(&c.path)),
-                            ("method", Value::Bool(c.method)),
+                            ("method", JsonValue::Bool(c.method)),
                             ("line", n(c.line as u64)),
                             ("held", strings(&c.held)),
                             ("args", strings(&c.args)),
@@ -388,13 +385,10 @@ fn fn_to_json(f: &FnDef) -> Value {
                     .collect(),
             ),
         ),
-        (
-            "panics",
-            Value::Arr(f.panics.iter().map(site_to_json).collect()),
-        ),
+        ("panics", sites_to_json(&f.panics)),
         (
             "locks",
-            Value::Arr(
+            JsonValue::Array(
                 f.locks
                     .iter()
                     .map(|l| {
@@ -409,7 +403,7 @@ fn fn_to_json(f: &FnDef) -> Value {
         ),
         (
             "risky",
-            Value::Arr(
+            JsonValue::Array(
                 f.risky
                     .iter()
                     .map(|r| {
@@ -422,40 +416,25 @@ fn fn_to_json(f: &FnDef) -> Value {
                     .collect(),
             ),
         ),
-        (
-            "taints",
-            Value::Arr(f.taints.iter().map(site_to_json).collect()),
-        ),
-        (
-            "time_ops",
-            Value::Arr(f.time_ops.iter().map(site_to_json).collect()),
-        ),
-        (
-            "allocs",
-            Value::Arr(f.allocs.iter().map(site_to_json).collect()),
-        ),
-        (
-            "reductions",
-            Value::Arr(f.reductions.iter().map(site_to_json).collect()),
-        ),
-        (
-            "db_mixes",
-            Value::Arr(f.db_mixes.iter().map(site_to_json).collect()),
-        ),
-        (
-            "rate_mixes",
-            Value::Arr(f.rate_mixes.iter().map(site_to_json).collect()),
-        ),
+        ("taints", sites_to_json(&f.taints)),
+        ("time_ops", sites_to_json(&f.time_ops)),
+        ("allocs", sites_to_json(&f.allocs)),
+        ("reductions", sites_to_json(&f.reductions)),
+        ("db_mixes", sites_to_json(&f.db_mixes)),
+        ("rate_mixes", sites_to_json(&f.rate_mixes)),
     ])
 }
 
-fn fn_from_json(v: &Value) -> Option<FnDef> {
+fn fn_from_json(v: &JsonValue) -> Option<FnDef> {
     Some(FnDef {
         crate_name: v.get("crate")?.as_str()?.to_string(),
         file: v.get("file")?.as_str()?.to_string(),
         module: v.get("module")?.as_str()?.to_string(),
         name: v.get("name")?.as_str()?.to_string(),
-        qual: v.get("qual").and_then(Value::as_str).map(str::to_string),
+        qual: v
+            .get("qual")
+            .and_then(JsonValue::as_str)
+            .map(str::to_string),
         is_pub: v.get("is_pub")?.as_bool()?,
         has_self: v.get("has_self")?.as_bool()?,
         line: v.get("line")?.as_u64()? as u32,
@@ -466,7 +445,7 @@ fn fn_from_json(v: &Value) -> Option<FnDef> {
         params: read_strings(v.get("params")),
         units: v
             .get("units")?
-            .as_arr()?
+            .as_array()?
             .iter()
             .filter_map(|u| {
                 Some((
@@ -477,7 +456,7 @@ fn fn_from_json(v: &Value) -> Option<FnDef> {
             .collect(),
         calls: v
             .get("calls")?
-            .as_arr()?
+            .as_array()?
             .iter()
             .filter_map(|c| {
                 Some(Call {
@@ -489,15 +468,10 @@ fn fn_from_json(v: &Value) -> Option<FnDef> {
                 })
             })
             .collect(),
-        panics: v
-            .get("panics")?
-            .as_arr()?
-            .iter()
-            .filter_map(site_from_json)
-            .collect(),
+        panics: sites_from_json(v.get("panics")?)?,
         locks: v
             .get("locks")?
-            .as_arr()?
+            .as_array()?
             .iter()
             .filter_map(|l| {
                 Some(LockAcq {
@@ -509,7 +483,7 @@ fn fn_from_json(v: &Value) -> Option<FnDef> {
             .collect(),
         risky: v
             .get("risky")?
-            .as_arr()?
+            .as_array()?
             .iter()
             .filter_map(|r| {
                 Some(RiskySite {
@@ -519,58 +493,22 @@ fn fn_from_json(v: &Value) -> Option<FnDef> {
                 })
             })
             .collect(),
-        taints: v
-            .get("taints")?
-            .as_arr()?
-            .iter()
-            .filter_map(site_from_json)
-            .collect(),
-        time_ops: v
-            .get("time_ops")?
-            .as_arr()?
-            .iter()
-            .filter_map(site_from_json)
-            .collect(),
-        allocs: v
-            .get("allocs")?
-            .as_arr()?
-            .iter()
-            .filter_map(site_from_json)
-            .collect(),
-        reductions: v
-            .get("reductions")?
-            .as_arr()?
-            .iter()
-            .filter_map(site_from_json)
-            .collect(),
-        db_mixes: v
-            .get("db_mixes")?
-            .as_arr()?
-            .iter()
-            .filter_map(site_from_json)
-            .collect(),
-        rate_mixes: v
-            .get("rate_mixes")?
-            .as_arr()?
-            .iter()
-            .filter_map(site_from_json)
-            .collect(),
+        taints: sites_from_json(v.get("taints")?)?,
+        time_ops: sites_from_json(v.get("time_ops")?)?,
+        allocs: sites_from_json(v.get("allocs")?)?,
+        reductions: sites_from_json(v.get("reductions")?)?,
+        db_mixes: sites_from_json(v.get("db_mixes")?)?,
+        rate_mixes: sites_from_json(v.get("rate_mixes")?)?,
     })
 }
 
-fn report_from_json(v: &Value) -> Option<FileReport> {
-    let mut report = FileReport::default();
-    for d in v.get("diagnostics")?.as_arr()? {
-        report.diagnostics.push(Diagnostic {
-            rule: intern_rule(d.get("rule")?.as_str()?)?,
-            file: d.get("file")?.as_str()?.to_string(),
-            line: d.get("line")?.as_u64()? as u32,
-            message: d.get("message")?.as_str()?.to_string(),
-            symbol: d.get("symbol").and_then(Value::as_str).map(str::to_string),
-        });
-    }
-    if let Some(Value::Obj(stats)) = v.get("stats") {
-        for (slug, st) in stats {
+fn report_from_json(v: &JsonValue) -> Option<FileReport> {
+    let mut report = FileReport {
+        diagnostics: diags_from_json(v.get("diagnostics")?)?,
+        ..FileReport::default()
+    };
+    if let Some(stats) = v.get("stats").and_then(JsonValue::as_object) {
+        for (slug, st) in stats.iter() {
             let slug = intern_rule(slug)?;
             report.stats.insert(
                 slug,
@@ -583,7 +521,7 @@ fn report_from_json(v: &Value) -> Option<FileReport> {
     }
     let sem = v.get("sem")?;
     let mut fns = Vec::new();
-    for f in sem.get("fns")?.as_arr()? {
+    for f in sem.get("fns")?.as_array()? {
         fns.push(fn_from_json(f)?);
     }
     report.sem = FileSem {
@@ -609,7 +547,7 @@ mod tests {
         let src = "use std::sync::Mutex;\npub fn f(m: &Mutex<u32>, xs: &[f64]) -> f64 {\n    let g = m.lock().unwrap();\n    drop(g);\n    helper(xs)\n}\nfn helper(xs: &[f64]) -> f64 { xs[0] }\n";
         let report = analyze_source("rcr-qos", "crates/qos/src/lib.rs", src, false);
         let v = report_to_json(&report);
-        let back = report_from_json(&jsonio::parse(&v.render()).unwrap()).unwrap();
+        let back = report_from_json(&json::parse(&v.render()).unwrap()).unwrap();
         assert_eq!(back.sem, report.sem);
         assert_eq!(back.diagnostics.len(), report.diagnostics.len());
         assert_eq!(back.stats.len(), report.stats.len());

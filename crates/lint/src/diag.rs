@@ -1,7 +1,7 @@
 //! Diagnostics and their renderings (human `file:line`, JSON, GitHub
 //! Actions workflow annotations, and SARIF 2.1.0).
 
-use crate::jsonio::{n, obj, s, Value};
+use rcr_codec::json::{encode_str, JsonValue};
 use std::fmt::Write as _;
 
 /// One finding: a rule violation or a malformed pragma.
@@ -62,13 +62,13 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
         let _ = write!(
             out,
             "\n  {{\"rule\":{},\"file\":{},\"line\":{},\"message\":{}",
-            json_str(d.rule),
-            json_str(&d.file),
+            encode_str(d.rule),
+            encode_str(&d.file),
             d.line,
-            json_str(&d.message)
+            encode_str(&d.message)
         );
         if let Some(sym) = &d.symbol {
-            let _ = write!(out, ",\"symbol\":{}", json_str(sym));
+            let _ = write!(out, ",\"symbol\":{}", encode_str(sym));
         }
         out.push('}');
     }
@@ -86,11 +86,11 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
     let mut rule_ids: Vec<&str> = diags.iter().map(|d| d.rule).collect();
     rule_ids.sort_unstable();
     rule_ids.dedup();
-    let rules: Vec<Value> = rule_ids
+    let rules: Vec<JsonValue> = rule_ids
         .into_iter()
         .map(|id| obj(vec![("id", s(id))]))
         .collect();
-    let results: Vec<Value> = diags
+    let results: Vec<JsonValue> = diags
         .iter()
         .map(|d| {
             obj(vec![
@@ -99,7 +99,7 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
                 ("message", obj(vec![("text", s(&d.message))])),
                 (
                     "locations",
-                    Value::Arr(vec![obj(vec![(
+                    JsonValue::Array(vec![obj(vec![(
                         "physicalLocation",
                         obj(vec![
                             ("artifactLocation", obj(vec![("uri", s(&d.file))])),
@@ -120,60 +120,48 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
         ("version", s("2.1.0")),
         (
             "runs",
-            Value::Arr(vec![obj(vec![
+            JsonValue::Array(vec![obj(vec![
                 (
                     "tool",
                     obj(vec![(
                         "driver",
-                        obj(vec![("name", s("rcr-lint")), ("rules", Value::Arr(rules))]),
+                        obj(vec![
+                            ("name", s("rcr-lint")),
+                            ("rules", JsonValue::Array(rules)),
+                        ]),
                     )]),
                 ),
-                ("results", Value::Arr(results)),
+                ("results", JsonValue::Array(results)),
             ])]),
         ),
     ]);
     doc.render()
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A JSON object with its fields sorted by key, whatever order the
+/// writer lists them in: every artifact the tool writes (cache,
+/// baseline, SARIF) then has one canonical form and diffs cleanly.
+pub(crate) fn obj(mut fields: Vec<(&str, JsonValue)>) -> JsonValue {
+    fields.sort_by(|a, b| a.0.cmp(b.0));
+    JsonValue::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+pub(crate) fn s(text: &str) -> JsonValue {
+    JsonValue::String(text.to_string())
+}
+
+pub(crate) fn n(v: u64) -> JsonValue {
+    JsonValue::Number(v as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escapes_and_shapes() {
-        let diags = vec![Diagnostic {
-            rule: "float-literal-eq",
-            file: "a\\b.rs".into(),
-            line: 3,
-            message: "say \"no\"".into(),
-            symbol: None,
-        }];
-        let j = render_json(&diags);
-        assert!(j.contains(r#""file":"a\\b.rs""#));
-        assert!(j.contains(r#""message":"say \"no\"""#));
-        assert!(!j.contains("symbol"));
-        assert_eq!(render_json(&[]), "[]");
-    }
 
     #[test]
     fn github_annotations_escape_the_payload() {
@@ -192,61 +180,83 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sarif_log_has_schema_rules_and_result_locations() {
-        let diags = vec![
+    /// Two findings exercising every field the renderers write: a
+    /// symbol and its absence, a line-0 finding, quotes, backslashes,
+    /// control characters and non-ASCII text.
+    fn fixed_diags() -> Vec<Diagnostic> {
+        vec![
             Diagnostic {
-                rule: "db-linear-mix",
-                file: "crates/qos/src/power.rs".into(),
-                line: 12,
-                message: "adds dB to linear".into(),
-                symbol: Some("combine/db-mix".into()),
+                rule: "panic-reachability",
+                file: "crates/serve/src/wire.rs".into(),
+                line: 42,
+                message:
+                    "public fn `parse_request` can reach a panic: slice index \"[..]\" at line 7"
+                        .into(),
+                symbol: Some("parse_request".into()),
             },
             Diagnostic {
-                rule: "db-linear-mix",
-                file: "crates/qos/src/power.rs".into(),
-                line: 30,
-                message: "again".into(),
+                rule: "lock-held-across-send",
+                file: "crates/a\\b.rs".into(),
+                line: 0,
+                message: "tab\there\nnext — ü".into(),
                 symbol: None,
             },
-        ];
-        let log = render_sarif(&diags);
-        let v = crate::jsonio::parse(&log).unwrap();
-        assert_eq!(v.get("version").and_then(Value::as_str), Some("2.1.0"));
-        let run = &v.get("runs").unwrap().as_arr().unwrap()[0];
-        let driver = run.get("tool").unwrap().get("driver").unwrap();
-        assert_eq!(driver.get("name").and_then(Value::as_str), Some("rcr-lint"));
-        // Two results, but the rule table is deduplicated.
-        assert_eq!(driver.get("rules").unwrap().as_arr().unwrap().len(), 1);
-        let results = run.get("results").unwrap().as_arr().unwrap();
-        assert_eq!(results.len(), 2);
-        let loc = &results[0].get("locations").unwrap().as_arr().unwrap()[0];
-        let phys = loc.get("physicalLocation").unwrap();
+        ]
+    }
+
+    // The goldens below pin the bytes CI consumers and committed
+    // baselines depend on; a codec change must not move them.
+
+    #[test]
+    fn baseline_render_is_pinned() {
         assert_eq!(
-            phys.get("artifactLocation")
-                .unwrap()
-                .get("uri")
-                .and_then(Value::as_str),
-            Some("crates/qos/src/power.rs")
-        );
-        assert_eq!(
-            phys.get("region")
-                .unwrap()
-                .get("startLine")
-                .and_then(Value::as_u64),
-            Some(12)
+            crate::Baseline::render_from(&fixed_diags()),
+            r#"{"entries":[
+  {"file":"crates/serve/src/wire.rs","note":"public fn `parse_request` can reach a panic: slice index \"[..]\" at line 7","rule":"panic-reachability","symbol":"parse_request"},
+  {"file":"crates/a\\b.rs","note":"tab\there\nnext — ü","rule":"lock-held-across-send","symbol":""}],"version":1}
+"#
         );
     }
 
     #[test]
-    fn symbol_field_is_emitted_when_present() {
-        let diags = vec![Diagnostic {
-            rule: "panic-reachability",
-            file: "lib.rs".into(),
-            line: 7,
-            message: "m".into(),
-            symbol: Some("Engine::solve_item".into()),
-        }];
-        assert!(render_json(&diags).contains(r#""symbol":"Engine::solve_item""#));
+    fn sarif_render_is_pinned() {
+        assert_eq!(
+            render_sarif(&fixed_diags()),
+            r#"{"$schema":"https://json.schemastore.org/sarif-2.1.0.json","runs":[{"results":[{"level":"error","locations":[{"physicalLocation":{"artifactLocation":{"uri":"crates/serve/src/wire.rs"},"region":{"startLine":42}}}],"message":{"text":"public fn `parse_request` can reach a panic: slice index \"[..]\" at line 7"},"ruleId":"panic-reachability"},{"level":"error","locations":[{"physicalLocation":{"artifactLocation":{"uri":"crates/a\\b.rs"},"region":{"startLine":1}}}],"message":{"text":"tab\there\nnext — ü"},"ruleId":"lock-held-across-send"}],"tool":{"driver":{"name":"rcr-lint","rules":[{"id":"lock-held-across-send"},{"id":"panic-reachability"}]}}}],"version":"2.1.0"}"#
+        );
+    }
+
+    #[test]
+    fn sarif_rule_table_is_deduplicated() {
+        let mut diags = fixed_diags();
+        diags.push(diags[0].clone());
+        let v = rcr_codec::json::parse(&render_sarif(&diags)).unwrap();
+        let len = |v: Option<&JsonValue>| v.and_then(JsonValue::as_array).map(<[_]>::len);
+        let run = &v.get("runs").and_then(JsonValue::as_array).unwrap()[0];
+        let driver = run.get("tool").and_then(|t| t.get("driver")).unwrap();
+        assert_eq!(len(run.get("results")), Some(3));
+        assert_eq!(len(driver.get("rules")), Some(2));
+    }
+
+    #[test]
+    fn json_render_is_pinned() {
+        assert_eq!(
+            render_json(&fixed_diags()),
+            r#"[
+  {"rule":"panic-reachability","file":"crates/serve/src/wire.rs","line":42,"message":"public fn `parse_request` can reach a panic: slice index \"[..]\" at line 7","symbol":"parse_request"},
+  {"rule":"lock-held-across-send","file":"crates/a\\b.rs","line":0,"message":"tab\there\nnext — ü"}
+]"#
+        );
+        assert_eq!(render_json(&[]), "[]");
+    }
+
+    #[test]
+    fn obj_renders_keys_sorted() {
+        let v = obj(vec![
+            ("z", n(1)),
+            ("a", s("x")),
+            ("m", obj(vec![("b", n(2)), ("a", n(3))])),
+        ]);
+        assert_eq!(v.render(), r#"{"a":"x","m":{"a":3,"b":2},"z":1}"#);
     }
 }

@@ -31,7 +31,6 @@ pub mod baseline;
 pub mod cache;
 pub mod diag;
 pub mod engine;
-pub mod jsonio;
 pub mod pragma;
 pub mod rules;
 pub mod sem;

@@ -40,7 +40,7 @@ fn main() -> ExitCode {
                 };
                 return match std::fs::read_to_string(&p)
                     .map_err(|e| e.to_string())
-                    .and_then(|t| rcr_lint::jsonio::parse(&t).map_err(|e| e.to_string()))
+                    .and_then(|t| rcr_codec::json::parse(&t).map_err(|e| e.to_string()))
                 {
                     Ok(_) => ExitCode::SUCCESS,
                     Err(e) => {

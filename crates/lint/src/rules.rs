@@ -12,8 +12,11 @@
 use crate::tokenizer::{TokKind, Token};
 
 /// Crates whose solves must be bit-reproducible: iteration order and
-/// wall-clock reads are forbidden here without a justified allow.
+/// wall-clock reads are forbidden here without a justified allow. The
+/// codec is held to the same rules because its digest is the replay
+/// contract.
 pub const SOLVER_CRATES: &[&str] = &[
+    "rcr-codec",
     "rcr-convex",
     "rcr-pso",
     "rcr-nn",

@@ -404,12 +404,13 @@ fn e2e_sarif_format_is_valid_and_locates_findings() {
         .expect("run rcr-lint");
     assert!(!out.status.success(), "fixture must still fail the run");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    let v = rcr_lint::jsonio::parse(&stdout).expect("SARIF output must parse as JSON");
+    let v = rcr_codec::json::parse(&stdout).expect("SARIF output must parse as JSON");
     assert_eq!(
-        v.get("version").and_then(rcr_lint::jsonio::Value::as_str),
+        v.get("version")
+            .and_then(rcr_codec::json::JsonValue::as_str),
         Some("2.1.0")
     );
-    let run = &v.get("runs").unwrap().as_arr().unwrap()[0];
+    let run = &v.get("runs").unwrap().as_array().unwrap()[0];
     let rules = run
         .get("tool")
         .unwrap()
@@ -417,15 +418,15 @@ fn e2e_sarif_format_is_valid_and_locates_findings() {
         .unwrap()
         .get("rules")
         .unwrap()
-        .as_arr()
+        .as_array()
         .unwrap();
     let ids: Vec<&str> = rules
         .iter()
-        .filter_map(|r| r.get("id").and_then(rcr_lint::jsonio::Value::as_str))
+        .filter_map(|r| r.get("id").and_then(rcr_codec::json::JsonValue::as_str))
         .collect();
     assert!(ids.contains(&"db-linear-mix"), "{ids:?}");
     assert!(ids.contains(&"unit-mismatch-at-call"), "{ids:?}");
-    let results = run.get("results").unwrap().as_arr().unwrap();
+    let results = run.get("results").unwrap().as_array().unwrap();
     assert!(!results.is_empty());
     assert!(
         stdout.contains("\"uri\": \"crates/signal/src/lib.rs\"")

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod arrivals;
-pub mod digest;
 pub mod expect;
 pub mod load;
 pub mod manifest;
@@ -45,7 +44,6 @@ pub mod sim;
 pub mod trace;
 
 pub use arrivals::Arrivals;
-pub use digest::Digest128;
 pub use expect::{DisciplineExpectation, OverloadExpectation};
 pub use load::{run_scenario, LoadMode};
 pub use manifest::{ArrivalProcess, ClassMix, FadingModel, RunManifest, ScenarioManifest};

@@ -3,17 +3,17 @@
 //! A manifest describes a workload *family* — cell topology, user
 //! population, QoS-class mix, channel fading model, arrival process —
 //! and, together with its `seed`, pins one exact trace of
-//! [`rcr_serve::SolveRequest`]s. The JSON codec is the serve crate's
-//! hand-rolled one (`rcr_serve::json`), so the build stays hermetic and
+//! [`rcr_serve::SolveRequest`]s. The JSON codec is the workspace's
+//! hand-rolled one (`rcr_codec::json`), so the build stays hermetic and
 //! floats round-trip bit-identically.
 //!
 //! Encoding is canonical: [`ScenarioManifest::encode`] emits keys in one
 //! fixed order, so `parse(encode(m)) == m` *and* `encode(parse(s))` is a
 //! normal form suitable for digesting and committing to the repo.
 
-use crate::digest::Digest128;
+use rcr_codec::json::{self, JsonObject, JsonValue};
+use rcr_codec::Digest128;
 use rcr_qos::QosClass;
-use rcr_serve::json::{self, JsonObject, JsonValue};
 use rcr_serve::SolverKind;
 
 /// QoS-class mix fractions. Need not sum to 1 — they are weights, and

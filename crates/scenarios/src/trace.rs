@@ -21,10 +21,10 @@
 //! redraws exactly when the fading model says it should.
 
 use crate::arrivals::Arrivals;
-use crate::digest::Digest128;
 use crate::manifest::{FadingModel, ScenarioManifest};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rcr_codec::Digest128;
 use rcr_runtime::seed_stream;
 use rcr_serve::{Payload, ScenarioSpec, SolveRequest};
 use std::collections::HashMap;

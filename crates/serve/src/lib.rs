@@ -67,7 +67,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod metrics;
 pub mod queue;
 pub mod request;

@@ -25,6 +25,7 @@
 //! smallest `(last_used, key)` pair goes first, and iteration is over a
 //! `BTreeMap` (no hash-iteration order).
 
+use rcr_codec::Digest128;
 use rcr_qos::rra::{RraProblem, RraSolution};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,49 +73,12 @@ pub struct ReuseCounters {
 // Bit-exact fingerprinting
 // ---------------------------------------------------------------------
 
-/// splitmix64 finalizer — the same mixing the workspace uses elsewhere
-/// for deterministic, dependency-free hashing.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Two independent 64-bit streams folded into one 128-bit digest; a
-/// collision would serve the wrong solution, so 64 bits is not enough.
-struct Digest {
-    a: u64,
-    b: u64,
-}
-
-impl Digest {
-    fn new(seed: u64) -> Digest {
-        Digest {
-            a: splitmix64(seed),
-            b: splitmix64(seed ^ 0x5851_f42d_4c95_7f2d),
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.a = splitmix64(self.a ^ v);
-        self.b = splitmix64(self.b.rotate_left(17) ^ v);
-    }
-
-    /// Raw bit pattern: `-0.0 != 0.0` on purpose — distinct inputs may
-    /// only ever cause a spurious miss, never a wrong hit.
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn finish(&self) -> u128 {
-        (u128::from(self.a) << 64) | u128::from(self.b)
-    }
-}
-
-/// The bit-exact cache key of `(solver, problem)`.
+/// The bit-exact cache key of `(solver, problem)`. 128 bits, because a
+/// collision would serve the wrong solution; floats fold by raw bits,
+/// so distinct inputs may only ever cause a spurious miss, never a
+/// wrong hit.
 fn key_of(solver: SolverKind, problem: &RraProblem) -> u128 {
-    let mut d = Digest::new(match solver {
+    let mut d = Digest128::new(match solver {
         SolverKind::Greedy => 0x6772_6565_6479,
         SolverKind::Exact => 0x0065_7861_6374,
         // Uncacheable; callers gate on `cacheable` first. Hashed under
@@ -342,6 +306,28 @@ mod tests {
         );
         let counters = c.counters();
         assert_eq!((counters.hits, counters.misses), (1, 1));
+    }
+
+    #[test]
+    fn keys_are_pinned_bit_for_bit() {
+        // Reuse keys are part of the replay story: a change to the digest
+        // or to what `key_of` folds must show up here, not as a silent
+        // shift in which requests share a cache entry.
+        let p = problem(7);
+        for (kind, want) in [
+            (
+                SolverKind::Greedy,
+                0x9282_e18f_65cb_3857_e237_5677_3532_5a6f,
+            ),
+            (SolverKind::Exact, 0x54d3_fe1b_5e57_2abf_f115_3015_f5b0_dd29),
+            (
+                SolverKind::Robust,
+                0xd9ca_7219_8e4a_a082_d571_0ad5_c791_cc77,
+            ),
+            (SolverKind::Pso, 0xf384_b8e7_3acd_1a08_bd20_3d4d_267a_3a46),
+        ] {
+            assert_eq!(key_of(kind, &p), want, "{kind:?}");
+        }
     }
 
     #[test]

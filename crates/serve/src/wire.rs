@@ -26,13 +26,13 @@
 //! which is what lets the loopback integration test assert bit-equal
 //! solver outputs through the protocol.
 
-use crate::json::{self, JsonValue};
 use crate::request::{
     DeadlineMissed, ExpiryPhase, Outcome, Payload, RejectReason, ScenarioSpec, SolveRequest,
     SolveResponse, Solved, SolverKind,
 };
 use crate::service::Client;
 use crate::MetricsSnapshot;
+use rcr_codec::json::{self, JsonValue};
 use rcr_qos::QosClass;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

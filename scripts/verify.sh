@@ -54,7 +54,8 @@ echo "== rcr-lint SARIF log (emit + parse check) ==" >&2
 # The SARIF artifact CI uploads must always be well-formed JSON, even
 # on a green run — emit it (|| true: a failing run above already
 # exited; here findings may legitimately exist under --no-baseline
-# consumers) and re-parse it with the linter's own JSON reader.
+# consumers) and re-parse it with the workspace's JSON codec
+# (rcr-codec, behind rcr-lint --check-json).
 sarif_log="$(pwd)/target/rcr-lint.sarif"
 cargo run -q --release -p rcr-lint -- --format=sarif > "$sarif_log" || true
 cargo run -q --release -p rcr-lint -- --check-json "$sarif_log"

@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 
+pub use rcr_codec as codec;
 pub use rcr_convex as convex;
 pub use rcr_core as core;
 pub use rcr_linalg as linalg;

@@ -6,11 +6,12 @@
 //! The `scenario_smoke` test is the hard gate wired into
 //! `scripts/verify.sh --scenario-smoke`.
 
+use rcr::codec::Digest128;
 use rcr::qos::QosClass;
 use rcr::scenarios::{
-    run_scenario, simulate, trace_digest, ArrivalProcess, ClassMix, Digest128,
-    DisciplineExpectation, FadingModel, LoadMode, OverloadExpectation, RunManifest,
-    ScenarioManifest, SimItem, TraceGenerator,
+    run_scenario, simulate, trace_digest, ArrivalProcess, ClassMix, DisciplineExpectation,
+    FadingModel, LoadMode, OverloadExpectation, RunManifest, ScenarioManifest, SimItem,
+    TraceGenerator,
 };
 use rcr::serve::{
     LanePolicy, Outcome, QueueDiscipline, QueuePolicy, ReuseConfig, Service, ServiceConfig,

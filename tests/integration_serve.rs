@@ -3,6 +3,7 @@
 //! worker-count determinism) and a loopback TCP round-trip through the
 //! line-delimited JSON protocol.
 
+use rcr::codec::json::{self, JsonValue};
 use rcr::qos::QosClass;
 use rcr::serve::{
     wire, LanePolicy, Outcome, Payload, QueuePolicy, ReuseConfig, ScenarioSpec, Service,
@@ -258,23 +259,21 @@ fn loopback_tcp_round_trip() {
     writer.flush().unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
-    let value = rcr::serve::json::parse(line.trim_end()).expect("metrics is valid JSON");
-    let obj = value.as_object().expect("metrics is an object");
+    let value = json::parse(line.trim_end()).expect("metrics is valid JSON");
     assert_eq!(
-        obj.get("outcome")
-            .and_then(rcr::serve::json::JsonValue::as_str),
+        value.get("outcome").and_then(JsonValue::as_str),
         Some("metrics")
     );
     // Per-class blocks carry the new lane high water + latency summary.
-    let urllc = obj
+    let urllc = value
         .get("URLLC")
-        .and_then(rcr::serve::json::JsonValue::as_object)
+        .and_then(JsonValue::as_object)
         .expect("URLLC block");
     assert!(urllc.get_u64("solved").unwrap_or(0) > 0);
     assert!(urllc.get_u64("lane_depth_high_water").is_some());
     let lat = urllc
         .get("response_latency")
-        .and_then(rcr::serve::json::JsonValue::as_object)
+        .and_then(JsonValue::as_object)
         .expect("per-class latency block");
     assert_eq!(
         lat.get_u64("count"),
@@ -311,6 +310,41 @@ fn wire_rejects_malformed_lines_without_dropping_the_connection() {
     reader.read_line(&mut line).unwrap();
     let resp = wire::parse_response(line.trim_end()).unwrap();
     assert_eq!(resp.id, 1);
+    assert!(matches!(resp.outcome, Outcome::Solved(_)));
+}
+
+#[test]
+fn megabyte_string_gets_its_error_reply_and_the_connection_keeps_serving() {
+    // The reader has no line cap, so decoding must stay linear in the
+    // line length: a quadratic string decoder pins this connection's
+    // thread for tens of seconds on one 1 MiB line.
+    let service = Service::spawn(ServiceConfig::default()).expect("valid policy");
+    let frontend = TcpFrontend::bind("127.0.0.1:0", service.client()).expect("bind loopback");
+    let stream = TcpStream::connect(frontend.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    let request = |id: u64, extra: &str| {
+        format!("{{\"id\":{id},\"class\":\"URLLC\",\"deadline_us\":60000000{extra}}}\n")
+    };
+    let long_seed = format!(",\"seed\":\"{}\"", "9".repeat(1 << 20));
+    writer.write_all(request(1, &long_seed).as_bytes()).unwrap();
+    writer.write_all(request(2, "").as_bytes()).unwrap();
+    writer.flush().unwrap();
+
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error reply in time");
+    assert!(
+        reply.contains("\"error\"") && reply.contains("seed"),
+        "got {reply:?}"
+    );
+    reply.clear();
+    reader.read_line(&mut reply).expect("next reply in time");
+    let resp = wire::parse_response(reply.trim_end()).unwrap();
+    assert_eq!(resp.id, 2);
     assert!(matches!(resp.outcome, Outcome::Solved(_)));
 }
 
