@@ -229,10 +229,8 @@ impl QpProblem {
     }
 
     /// Assembles the condensed KKT matrix `P + σI + ρAᵀA` without
-    /// factorizing it. Exposed so batch planners (the serve robust path)
-    /// can assemble the KKT systems of many independent requests and push
-    /// them through `rcr_linalg::BatchFactor::cholesky_batch` together,
-    /// then hand each factor back via [`QpProblem::solve_prefactored`].
+    /// factorizing it — the matrix every solve factors once. Public so
+    /// callers can inspect or time the KKT system on its own.
     ///
     /// # Errors
     /// [`ConvexError::DimensionMismatch`] if `AᵀA` cannot be formed (not
@@ -245,21 +243,6 @@ impl QpProblem {
             kkt[(i, i)] += sigma;
         }
         Ok(kkt)
-    }
-
-    /// Solves with a caller-supplied KKT factorization, skipping the
-    /// per-solve refactorize. `factor` must factor exactly
-    /// [`QpProblem::kkt_matrix`]`(settings.rho, settings.sigma)` for this
-    /// problem — typically produced by a batched pre-factor phase.
-    ///
-    /// # Errors
-    /// Same as [`QpProblem::solve`].
-    pub fn solve_prefactored(
-        &self,
-        settings: &QpSettings,
-        factor: &Cholesky,
-    ) -> Result<QpSolution, ConvexError> {
-        self.solve_with(settings, None, Some(factor))
     }
 
     /// Factorizes the condensed KKT matrix `P + σI + ρAᵀA` for the given

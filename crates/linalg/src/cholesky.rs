@@ -104,14 +104,6 @@ impl Cholesky {
         Ok(Cholesky { l })
     }
 
-    /// Builds a factorization directly from an already-computed
-    /// lower-triangular factor (row-major, strict upper triangle zero).
-    /// Used by the batched factorization path, which runs the kernel on raw
-    /// buffers. No validation is performed.
-    pub(crate) fn from_factor(l: Matrix) -> Self {
-        Cholesky { l }
-    }
-
     /// The lower-triangular factor `L`.
     pub fn factor(&self) -> &Matrix {
         &self.l

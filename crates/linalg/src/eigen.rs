@@ -83,10 +83,11 @@ impl SymmetricEigen {
         Ok(())
     }
 
-    /// The blocked tridiagonalization + implicit-QL backend on an explicit
-    /// [`rcr_kernels::Scratch`] pool — the entry point the batched path
-    /// uses so repeated same-size decompositions are allocation-free.
-    /// Validation is identical to [`SymmetricEigen::new`].
+    /// The blocked tridiagonalization + implicit-QL backend at every size
+    /// (no Jacobi crossover), on an explicit [`rcr_kernels::Scratch`] pool
+    /// so repeated same-size decompositions over one reused pool stop
+    /// allocating kernel workspace. The robust RRA solver uses it for its
+    /// Gram spectrum. Validation is identical to [`SymmetricEigen::new`].
     ///
     /// # Errors
     /// As for [`SymmetricEigen::new`].

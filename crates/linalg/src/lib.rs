@@ -18,9 +18,6 @@
 //!   implicit QL above), the workhorse behind [`Matrix::psd_projection`]
 //!   (projection onto the positive semidefinite cone) needed by the SDP
 //!   solver.
-//! * [`BatchFactor`] — runs many independent small Cholesky/eigen
-//!   factorizations across the `rcr-runtime` worker pool with per-worker
-//!   scratch, amortizing per-request KKT factors in the serve batch path.
 //!
 //! # Example
 //!
@@ -40,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod cholesky;
 mod eigen;
 mod error;
@@ -49,7 +45,6 @@ mod matrix;
 mod qr;
 pub mod vector;
 
-pub use batch::BatchFactor;
 pub use cholesky::{Cholesky, Ldlt};
 pub use eigen::{SymmetricEigen, EIGH_CROSSOVER};
 pub use error::LinalgError;

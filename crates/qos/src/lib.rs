@@ -23,7 +23,7 @@
 //!   baseline.
 //! * [`robust`] — the robust convex relaxation of the RRA assignment
 //!   (uncertainty margin from the gain-profile Gram spectrum, box QP,
-//!   round + repair), with a batched pre-factorization path for serving.
+//!   round + repair), solved by one entry point, `solve_robust`.
 //! * [`multirat`] — the multi-RAT assignment problem with per-RAT
 //!   capacities.
 //! * [`workload`] — scenario generators with eMBB/URLLC/mMTC QoS classes.

@@ -1,5 +1,4 @@
-//! Robust convex relaxation of the RRA assignment with a batched
-//! pre-factorization path.
+//! Robust convex relaxation of the RRA assignment.
 //!
 //! The paper's robustness recipe: instead of assigning each resource block
 //! greedily on the nominal channel, hedge against channel uncertainty by
@@ -12,14 +11,12 @@
 //! the same Gram matrix. The relaxed solution is rounded per-block and then
 //! repaired by the same minimum-rate repair pass the greedy solver uses.
 //!
-//! The expensive pieces — one `users x users` eigendecomposition and one
-//! `n x n` KKT Cholesky per request — are exactly the shape
-//! [`rcr_linalg::BatchFactor`] batches: [`plan_batch`] pre-factors a whole
-//! serve batch through the worker pool, and [`solve_robust`] consumes one
-//! pre-built [`RobustPlan`] without refactorizing.
+//! [`solve_robust`] is the one entry point; serve calls it per request on
+//! its worker pool like every other solver.
 
 use rcr_convex::qp::{QpProblem, QpSettings, QpSolution};
-use rcr_linalg::{BatchFactor, Cholesky, Matrix};
+use rcr_kernels::Scratch;
+use rcr_linalg::{Matrix, SymmetricEigen};
 
 use crate::rra::{repair_min_rates, RraProblem, RraSolution};
 use crate::QosError;
@@ -33,7 +30,7 @@ const ROBUST_ALPHA: f64 = 0.5;
 const ROBUST_BETA: f64 = 0.25;
 
 /// ADMM settings for the relaxation QP. Fixed (not caller-supplied) so a
-/// plan's KKT factor always matches the settings the solve will use.
+/// given problem always yields the same answer.
 fn robust_qp_settings() -> QpSettings {
     QpSettings {
         max_iter: 4000,
@@ -41,16 +38,6 @@ fn robust_qp_settings() -> QpSettings {
         eps_rel: 1e-6,
         ..QpSettings::default()
     }
-}
-
-/// A pre-factored robust relaxation for one request: the assembled QP and
-/// the Cholesky factor of its condensed KKT matrix.
-#[derive(Debug, Clone)]
-pub struct RobustPlan {
-    qp: QpProblem,
-    factor: Cholesky,
-    users: usize,
-    rbs: usize,
 }
 
 /// Normalized gain weights `w[u][rb] ∈ [0, 1]` (nominal gains scaled by
@@ -85,12 +72,10 @@ fn weights(problem: &RraProblem) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Gram matrix of the weight profiles: `C[i][j] = ⟨w_i, w_j⟩ / rbs`.
-/// Symmetric PSD with entries in `[0, 1]`.
-fn gram(problem: &RraProblem) -> Matrix {
-    let users = problem.users();
-    let rbs = problem.resource_blocks();
-    let w = weights(problem);
+/// Gram matrix of the weight profiles `w` over `rbs` blocks:
+/// `C[i][j] = ⟨w_i, w_j⟩ / rbs`. Symmetric PSD with entries in `[0, 1]`.
+fn gram(w: &[Vec<f64>], rbs: usize) -> Matrix {
+    let users = w.len();
     Matrix::from_fn(users, users, |i, j| {
         let mut s = 0.0;
         for r in 0..rbs {
@@ -100,16 +85,19 @@ fn gram(problem: &RraProblem) -> Matrix {
     })
 }
 
-/// Assembles the relaxation QP for one request given its uncertainty
-/// margin. Variables `x[u·rbs + r] ∈ [0, 1]` relax the block-ownership
-/// indicators; per block the coupling is `alpha·C + I` (block-diagonal in
-/// `r`, so `P` is PSD), the linear term rewards margin-discounted gain,
-/// and one constraint row per block caps the block's total mass at 1.
-fn assemble_qp(problem: &RraProblem, margin: f64, gram_c: &Matrix) -> Result<QpProblem, QosError> {
-    let users = problem.users();
-    let rbs = problem.resource_blocks();
-    let n = users * rbs;
-    let w = weights(problem);
+/// Assembles the relaxation QP for one request given its weights, Gram
+/// matrix and uncertainty margin. Variables `x[u·rbs + r] ∈ [0, 1]` relax
+/// the block-ownership indicators; per block the coupling is
+/// `alpha·C + I` (block-diagonal in `r`, so `P` is PSD), the linear term
+/// rewards margin-discounted gain, and one constraint row per block caps
+/// the block's total mass at 1.
+fn assemble_qp(
+    w: &[Vec<f64>],
+    rbs: usize,
+    margin: f64,
+    gram_c: &Matrix,
+) -> Result<QpProblem, QosError> {
+    let n = w.len() * rbs;
     let p = Matrix::from_fn(n, n, |row, col| {
         let (u, r) = (row / rbs, row % rbs);
         let (v, r2) = (col / rbs, col % rbs);
@@ -131,13 +119,7 @@ fn assemble_qp(problem: &RraProblem, margin: f64, gram_c: &Matrix) -> Result<QpP
             0.0
         }
     });
-    let mut l = vec![0.0; m];
-    let mut u_bound = vec![1.0; m];
-    for i in n..m {
-        l[i] = 0.0;
-        u_bound[i] = 1.0;
-    }
-    QpProblem::new(p, q, a, l, u_bound)
+    QpProblem::new(p, q, a, vec![0.0; m], vec![1.0; m])
         .map_err(|e| QosError::Solver(format!("robust QP assembly: {e}")))
 }
 
@@ -150,95 +132,28 @@ fn margin_from_spectrum(vals: &[f64], users: usize) -> f64 {
     }
 }
 
-/// Pre-factors the robust relaxations of a whole batch of independent
-/// requests: Gram assembly in parallel, one batched eigendecomposition for
-/// the margins, QP/KKT assembly in parallel, one batched Cholesky for the
-/// factors. Per-item results are bit-identical for every worker count —
-/// parallelism is only across requests.
-pub fn plan_batch(problems: &[&RraProblem], workers: usize) -> Vec<Result<RobustPlan, QosError>> {
-    let batch = BatchFactor::new(workers);
-    let settings = robust_qp_settings();
-
-    let grams: Vec<Matrix> = rcr_runtime::parallel_map(problems, workers, |_, p| gram(p));
-    let eigs = batch.eigh_batch(&grams);
-    let margins: Vec<Result<f64, QosError>> = eigs
-        .iter()
-        .zip(problems)
-        .map(|(e, p)| match e {
-            Ok(e) => Ok(margin_from_spectrum(e.eigenvalues(), p.users())),
-            Err(err) => Err(QosError::Solver(format!("gram eigendecomposition: {err}"))),
-        })
-        .collect();
-
-    let qps: Vec<Result<(QpProblem, Matrix), QosError>> =
-        rcr_runtime::parallel_map(problems, workers, |i, p| {
-            let margin = margins[i].clone()?;
-            let qp = assemble_qp(p, margin, &grams[i])?;
-            let kkt = qp
-                .kkt_matrix(settings.rho, settings.sigma)
-                .map_err(|e| QosError::Solver(format!("robust KKT assembly: {e}")))?;
-            Ok((qp, kkt))
-        });
-
-    // Batched Cholesky over the successfully assembled KKT matrices;
-    // failed items get a 1x1 placeholder whose factor is discarded.
-    let kkts: Vec<Matrix> = qps
-        .iter()
-        .map(|r| match r {
-            Ok((_, kkt)) => kkt.clone(),
-            Err(_) => Matrix::identity(1),
-        })
-        .collect();
-    let factors = batch.cholesky_batch(&kkts);
-
-    qps.into_iter()
-        .zip(factors)
-        .zip(problems)
-        .map(|((qp, factor), p)| {
-            let (qp, _) = qp?;
-            let factor =
-                factor.map_err(|e| QosError::Solver(format!("robust KKT factorization: {e}")))?;
-            Ok(RobustPlan {
-                qp,
-                factor,
-                users: p.users(),
-                rbs: p.resource_blocks(),
-            })
-        })
-        .collect()
-}
-
-/// Builds a [`RobustPlan`] for a single request (the serve path uses
-/// [`plan_batch`]; this is the fallback when no pre-factor phase ran).
-///
-/// # Errors
-/// Propagates assembly/factorization failures as [`QosError::Solver`].
-pub fn plan_one(problem: &RraProblem) -> Result<RobustPlan, QosError> {
-    plan_batch(&[problem], 1)
-        .pop()
-        .unwrap_or_else(|| Err(QosError::Solver("empty plan batch".into())))
-}
-
-/// Solves the robust relaxation using a pre-built plan, rounds the relaxed
+/// Solves the robust relaxation of `problem`, rounds the relaxed
 /// assignment per block, and repairs minimum rates.
 ///
 /// # Errors
-/// * [`QosError::InvalidParameter`] when the plan was built for different
-///   problem dimensions.
-/// * [`QosError::Solver`] when the QP solve fails.
+/// * [`QosError::Solver`] when the Gram eigendecomposition, the QP
+///   assembly or the QP solve fails.
+/// * [`QosError::InvalidParameter`] when the problem has no users.
 /// * Evaluation errors from the rounded assignment.
-pub fn solve_robust(problem: &RraProblem, plan: &RobustPlan) -> Result<RraSolution, QosError> {
+pub fn solve_robust(problem: &RraProblem) -> Result<RraSolution, QosError> {
     let users = problem.users();
     let rbs = problem.resource_blocks();
-    if plan.users != users || plan.rbs != rbs {
-        return Err(QosError::InvalidParameter(format!(
-            "plan built for {}x{} (users x RBs), problem is {}x{}",
-            plan.users, plan.rbs, users, rbs
-        )));
-    }
-    let sol: QpSolution = plan
-        .qp
-        .solve_prefactored(&robust_qp_settings(), &plan.factor)
+    let w = weights(problem);
+    let gram_c = gram(&w, rbs);
+    // The blocked kernel at every size: `SymmetricEigen::new` switches to
+    // Jacobi below its crossover, which would change the margin's bits.
+    let eig = SymmetricEigen::new_blocked_with_scratch(&gram_c, &mut Scratch::new())
+        .map_err(|e| QosError::Solver(format!("gram eigendecomposition: {e}")))?;
+    let margin = margin_from_spectrum(eig.eigenvalues(), users);
+    let qp = assemble_qp(&w, rbs, margin, &gram_c)?;
+    // Path-qualified: a bare `.solve(` would resolve by name in the
+    // workspace lint's call graph and pick the wrong `solve`.
+    let sol: QpSolution = QpProblem::solve(&qp, &robust_qp_settings())
         .map_err(|e| QosError::Solver(format!("robust QP solve: {e}")))?;
     // Round: each block goes to the user holding the most relaxed mass on
     // it. total_cmp so NaN (corrupt input) claims deterministically and
@@ -252,16 +167,6 @@ pub fn solve_robust(problem: &RraProblem, plan: &RobustPlan) -> Result<RraSoluti
     }
     let best = problem.evaluate(&owners)?;
     repair_min_rates(problem, &mut owners, best)
-}
-
-/// One-shot robust solve: builds the plan inline and solves. Equivalent to
-/// `solve_robust(problem, &plan_one(problem)?)`.
-///
-/// # Errors
-/// As for [`plan_one`] and [`solve_robust`].
-pub fn solve_robust_auto(problem: &RraProblem) -> Result<RraSolution, QosError> {
-    let plan = plan_one(problem)?;
-    solve_robust(problem, &plan)
 }
 
 #[cfg(test)]
@@ -278,35 +183,36 @@ mod tests {
     #[test]
     fn robust_solve_produces_valid_assignment() {
         let p = problem(4, 12, 11, 1e5);
-        let sol = solve_robust_auto(&p).unwrap();
+        let sol = solve_robust(&p).unwrap();
         assert_eq!(sol.owners.len(), 12);
         assert!(sol.owners.iter().all(|&u| u < 4));
         assert!(sol.total_rate_bps > 0.0);
     }
 
     #[test]
-    fn robust_is_deterministic_across_worker_counts() {
-        let problems: Vec<RraProblem> = (0..5).map(|s| problem(3, 8, 100 + s, 5e4)).collect();
-        let refs: Vec<&RraProblem> = problems.iter().collect();
-        let plans1 = plan_batch(&refs, 1);
-        let plans4 = plan_batch(&refs, 4);
-        for ((p, a), b) in problems.iter().zip(&plans1).zip(&plans4) {
-            let sa = solve_robust(p, a.as_ref().unwrap()).unwrap();
-            let sb = solve_robust(p, b.as_ref().unwrap()).unwrap();
-            assert_eq!(sa.owners, sb.owners);
-            assert_eq!(sa.total_rate_bps.to_bits(), sb.total_rate_bps.to_bits());
-        }
-    }
-
-    #[test]
-    fn plan_dimension_mismatch_rejected() {
-        let p = problem(3, 8, 7, 1e4);
-        let other = problem(4, 8, 7, 1e4);
-        let plan = plan_one(&p).unwrap();
-        assert!(matches!(
-            solve_robust(&other, &plan),
-            Err(QosError::InvalidParameter(_))
-        ));
+    fn robust_answers_are_pinned_bit_for_bit() {
+        // Any change to the Gram, margin, QP or rounding arithmetic shows
+        // up here as a changed owner or rate bit.
+        let pin = |p: RraProblem, owners: &[usize], rate_bits: u64| {
+            let sol = solve_robust(&p).unwrap();
+            assert_eq!(sol.owners, owners);
+            assert_eq!(sol.total_rate_bps.to_bits(), rate_bits);
+        };
+        pin(
+            problem(4, 12, 11, 1e5),
+            &[3, 3, 0, 0, 1, 0, 3, 3, 2, 3, 2, 3],
+            0x4142_f398_55b3_9031,
+        );
+        pin(
+            problem(3, 8, 100, 5e4),
+            &[0, 2, 2, 0, 2, 1, 0, 2],
+            0x4136_e526_c5fa_82f5,
+        );
+        pin(
+            problem(4, 16, 42, 1e4),
+            &[1, 1, 1, 1, 0, 1, 1, 3, 2, 0, 1, 1, 1, 1, 3, 1],
+            0x414b_85f1_7a66_f6c8,
+        );
     }
 
     #[test]
@@ -316,7 +222,7 @@ mod tests {
         // within a constant factor of greedy's.
         let p = problem(4, 16, 42, 1e4);
         let greedy = solve_greedy(&p).unwrap();
-        let robust = solve_robust_auto(&p).unwrap();
+        let robust = solve_robust(&p).unwrap();
         assert!(
             robust.total_rate_bps > 0.25 * greedy.total_rate_bps,
             "robust {} vs greedy {}",

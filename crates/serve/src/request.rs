@@ -26,8 +26,8 @@ pub enum SolverKind {
     /// Discrete PSO metaheuristic — near-optimal, tunable budget.
     Pso,
     /// Robust convex relaxation — hedges the assignment against channel
-    /// uncertainty via a margin-discounted box QP whose KKT factor the
-    /// service pre-builds per batch through `rcr_linalg::BatchFactor`.
+    /// uncertainty via a margin-discounted box QP
+    /// (`rcr_qos::robust::solve_robust`), solved per request on the pool.
     Robust,
 }
 

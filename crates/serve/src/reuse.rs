@@ -106,10 +106,8 @@ fn key_of(solver: SolverKind, problem: &RraProblem) -> u128 {
 /// therefore be cached across requests).
 pub(crate) fn cacheable(solver: SolverKind) -> bool {
     match solver {
-        // Robust is a pure function of the problem too; a hit does waste
-        // the batch pre-factor built for the item, but serving the cached
-        // solution is still bit-identical and strictly cheaper than the
-        // QP solve it skips.
+        // Robust is a pure function of the problem too; a hit skips the
+        // Gram eigendecomposition, KKT factorization and ADMM solve.
         SolverKind::Greedy | SolverKind::Exact | SolverKind::Robust => true,
         // Seeded per request id: two requests with identical problems
         // legitimately produce different swarms.

@@ -29,7 +29,7 @@ use crate::reuse::{self, ReuseCache, ReuseConfig};
 use crate::ServeError;
 use rcr_minlp::BnbSettings;
 use rcr_pso::swarm::PsoSettings;
-use rcr_qos::robust::{self, RobustPlan};
+use rcr_qos::robust;
 use rcr_qos::rra::{self, RraProblem, RraSolution};
 use rcr_qos::{QosClass, QosError};
 use rcr_runtime::{seed_stream, BatchSolve, WorkerPool};
@@ -88,11 +88,6 @@ struct WorkItem {
     problem: RraProblem,
     solver: SolverKind,
     request_id: u64,
-    /// Pre-built robust plan from the batch pre-factor phase; `None` for
-    /// non-robust items (and for robust items whose planning failed — the
-    /// dispatch falls back to an inline plan so the planning error
-    /// surfaces through the normal solve path).
-    plan: Option<RobustPlan>,
 }
 
 impl Engine {
@@ -133,12 +128,7 @@ impl Engine {
                 };
                 rra::solve_pso(&item.problem, &settings)
             }
-            SolverKind::Robust => match &item.plan {
-                // The batch pre-factor phase already built the KKT
-                // Cholesky; this solve runs the ADMM iterations only.
-                Some(plan) => robust::solve_robust(&item.problem, plan),
-                None => robust::solve_robust_auto(&item.problem),
-            },
+            SolverKind::Robust => robust::solve_robust(&item.problem),
         }
     }
 }
@@ -463,30 +453,6 @@ fn respond_expired(shared: &Shared, expired: Vec<Queued<Job>>, now: Instant) {
     }
 }
 
-/// The batch pre-factor phase: plans every robust item's relaxation in
-/// one `rcr_linalg::BatchFactor` pass (batched Gram eigendecompositions
-/// and KKT Cholesky factorizations across the pool's worker count), so the
-/// per-request factorizations amortize over the batch instead of running
-/// inside each item's solve. Items whose planning fails keep `plan: None`
-/// and fall back to the inline path, where the same error surfaces
-/// through the normal solve outcome.
-fn attach_robust_plans(shared: &Shared, items: &mut [WorkItem]) {
-    let robust_idx: Vec<usize> = items
-        .iter()
-        .enumerate()
-        .filter(|(_, it)| it.solver == SolverKind::Robust)
-        .map(|(i, _)| i)
-        .collect();
-    if robust_idx.is_empty() {
-        return;
-    }
-    let problems: Vec<&RraProblem> = robust_idx.iter().map(|&i| &items[i].problem).collect();
-    let plans = robust::plan_batch(&problems, shared.pool.workers());
-    for (&i, plan) in robust_idx.iter().zip(plans) {
-        items[i].plan = plan.ok();
-    }
-}
-
 /// Solves one drained batch on the pool and answers every entry.
 fn solve_batch(shared: &Shared, entries: Vec<Queued<Job>>) {
     let drained_at = Instant::now();
@@ -498,7 +464,6 @@ fn solve_batch(shared: &Shared, entries: Vec<Queued<Job>>) {
             problem: entry.item.problem,
             solver: entry.item.solver,
             request_id: entry.item.id,
-            plan: None,
         });
         meta.push((
             entry.item.id,
@@ -508,7 +473,6 @@ fn solve_batch(shared: &Shared, entries: Vec<Queued<Job>>) {
             entry.deadline_at,
         ));
     }
-    attach_robust_plans(shared, &mut items);
 
     let engine = Arc::clone(&shared.engine);
     let outputs = shared.pool.solve_batch_on(engine, items);
@@ -823,9 +787,14 @@ mod tests {
 
     #[test]
     fn robust_requests_solve_identically_at_any_worker_count() {
-        // The robust path adds a batch pre-factor phase; this pins that
-        // neither the phase nor the worker count leaks into solutions.
-        let solve_all = |workers: usize| -> Vec<u64> {
+        // Neither batching nor the worker count may leak into solutions:
+        // every served answer equals a direct solve of the same problem.
+        let spec = |i: u64| ScenarioSpec {
+            users: 3,
+            resource_blocks: 6,
+            seed: 40 + i,
+        };
+        let solve_all = |workers: usize| -> Vec<(Vec<usize>, u64)> {
             let config = ServiceConfig {
                 workers,
                 queue: QueuePolicy {
@@ -847,25 +816,29 @@ mod tests {
                         class: QosClass::Embb,
                         deadline: Duration::from_secs(30),
                         solver: SolverKind::Robust,
-                        payload: Payload::Scenario(ScenarioSpec {
-                            users: 3,
-                            resource_blocks: 6,
-                            seed: 40 + i,
-                        }),
+                        payload: Payload::Scenario(spec(i)),
                     })
                 })
                 .collect();
-            let rates = tickets
+            let answers = tickets
                 .into_iter()
                 .map(|t| match t.wait().unwrap().outcome {
-                    Outcome::Solved(s) => s.solution.total_rate_bps.to_bits(),
+                    Outcome::Solved(s) => (s.solution.owners, s.solution.total_rate_bps.to_bits()),
                     other => panic!("expected Solved, got {other:?}"),
                 })
                 .collect();
             service.shutdown();
-            rates
+            answers
         };
-        assert_eq!(solve_all(1), solve_all(4));
+        let direct: Vec<(Vec<usize>, u64)> = (0..6)
+            .map(|i| {
+                let problem = spec(i).to_problem(QosClass::Embb).unwrap();
+                let s = robust::solve_robust(&problem).unwrap();
+                (s.owners, s.total_rate_bps.to_bits())
+            })
+            .collect();
+        assert_eq!(solve_all(1), direct);
+        assert_eq!(solve_all(4), direct);
     }
 
     #[test]
