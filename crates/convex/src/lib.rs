@@ -20,10 +20,10 @@
 //! * [`envelope`] — convex under-estimators and concave over-estimators
 //!   (convex/concave envelopes, McCormick bilinear relaxation) used by the
 //!   MINLP branch-and-bound.
-//! * [`warm`] — a warm-start and solution-reuse cache for the three
-//!   solver families above: fingerprints instances, keeps a bounded
-//!   deterministic LRU of prior solutions and factorizations, and
-//!   re-solves drifting instances in a handful of iterations.
+//! * [`warm`] — a warm-start and solution-reuse cache for the [`qp`]
+//!   solver: fingerprints instances, keeps a bounded deterministic LRU
+//!   of prior solutions and KKT factorizations, and re-solves drifting
+//!   instances in a handful of iterations.
 //!
 //! # Example
 //!

@@ -316,64 +316,6 @@ impl QcqpProblem {
         self.barrier(x0, settings)
     }
 
-    // Internal accessors for the warm-start layer.
-    pub(crate) fn objective(&self) -> &QuadraticForm {
-        &self.objective
-    }
-    pub(crate) fn constraints(&self) -> &[QuadraticForm] {
-        &self.constraints
-    }
-    pub(crate) fn equality(&self) -> Option<&(Matrix, Vec<f64>)> {
-        self.equality.as_ref()
-    }
-
-    /// Warm-started barrier solve: seeds the primal iterate from `x0`
-    /// (skipping phase-I entirely) and starts the barrier parameter at
-    /// `t0` instead of `settings.t0`. In the barrier method the slack of
-    /// constraint `i` is `-f_i(x)`, so a strictly feasible primal seed
-    /// *is* a centered-slack seed, and a boosted `t0` carries over the
-    /// dual progress of the previous solve (whose final `t` is
-    /// `m / gap_bound`) — together they replace the cold solver's outer
-    /// homotopy from `t0 = 1`.
-    ///
-    /// # Errors
-    /// * [`ConvexError::Infeasible`] when `x0` is not strictly feasible
-    ///   with margin (the caller falls back to a cold solve).
-    /// * [`ConvexError::InvalidParameter`] for a non-positive `t0`.
-    pub(crate) fn solve_warm_start(
-        &self,
-        x0: &[f64],
-        t0: f64,
-        settings: &QcqpSettings,
-    ) -> Result<QcqpSolution, ConvexError> {
-        if x0.len() != self.num_vars() {
-            return Err(ConvexError::DimensionMismatch(format!(
-                "x0 has {} entries, expected {}",
-                x0.len(),
-                self.num_vars()
-            )));
-        }
-        if !(t0 > 0.0) || !t0.is_finite() {
-            return Err(ConvexError::InvalidParameter("t0 must be positive".into()));
-        }
-        // Strictness margin: a cached solution hugging the boundary after
-        // drift would make the first centering step numerically hopeless.
-        let strict = self.constraints.iter().all(|c| c.eval(x0) < -1e-10);
-        let eq_ok = match &self.equality {
-            Some((a, b)) => {
-                let ax = a.matvec(x0)?;
-                vector::norm_inf(&vector::sub(&ax, b)) < 1e-8
-            }
-            None => true,
-        };
-        if !strict || !eq_ok || !vector::is_finite(x0) {
-            return Err(ConvexError::Infeasible);
-        }
-        let mut warm_settings = settings.clone();
-        warm_settings.t0 = t0;
-        self.barrier(x0.to_vec(), &warm_settings)
-    }
-
     /// The barrier outer loop; `x` must be strictly feasible.
     fn barrier(
         &self,

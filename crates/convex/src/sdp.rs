@@ -125,93 +125,38 @@ impl SdpProblem {
             .fold(0.0, f64::max)
     }
 
-    // Internal accessors for the warm-start layer.
-    pub(crate) fn c(&self) -> &Matrix {
-        &self.c
-    }
-    pub(crate) fn constraints(&self) -> &[(Matrix, f64)] {
-        &self.constraints
-    }
-
-    /// Factorizes the Gram matrix `G_ij = ⟨A_i, A_j⟩` of the affine
-    /// projection (`None` for an unconstrained cone). Depends only on the
-    /// constraint *matrices*, not on `C` or `b`, so the warm cache can
-    /// reuse it across a drifting trace.
-    ///
-    /// # Errors
-    /// [`ConvexError::Infeasible`] when the constraint matrices are
-    /// linearly dependent (singular Gram).
-    pub(crate) fn gram_factor(&self) -> Result<Option<Cholesky>, ConvexError> {
-        let m = self.constraints.len();
-        if m == 0 {
-            return Ok(None);
-        }
-        let gram = Matrix::from_fn(m, m, |i, j| {
-            self.constraints[i]
-                .0
-                .inner(&self.constraints[j].0)
-                .unwrap_or(f64::NAN)
-        });
-        Cholesky::new(&gram)
-            .map(Some)
-            .map_err(|_| ConvexError::Infeasible)
-    }
-
     /// Solves the SDP from a cold start.
     ///
     /// # Errors
-    /// * [`ConvexError::Infeasible`] when the affine system `A(X) = b` is
-    ///   itself inconsistent (detected at Gram factorization).
+    /// * [`ConvexError::Infeasible`] when the constraint matrices are
+    ///   linearly dependent (singular Gram `G_ij = ⟨A_i, A_j⟩` of the
+    ///   affine projection), which includes an inconsistent `A(X) = b`.
     /// * [`ConvexError::NonConvergence`] when the iteration budget runs
     ///   out — typical for infeasible or unbounded cone problems.
     pub fn solve(&self, settings: &SdpSettings) -> Result<SdpSolution, ConvexError> {
-        self.solve_with(settings, None, None).map(|(sol, _)| sol)
-    }
-
-    /// The full-control solve: optional warm `(Z, U)` seed (the cone-side
-    /// iterate and scaled dual of a previous solve) and an optional
-    /// pre-computed Gram factorization from [`SdpProblem::gram_factor`].
-    /// The warm cache keys the factor on a bit-exact hash of the
-    /// constraint matrices, which is exactly its validity condition.
-    ///
-    /// Returns the solution together with the final scaled dual `U`, so
-    /// callers (the warm cache) can seed the next solve's dual — seeding
-    /// `Z` alone leaves the dual residual to re-converge from scratch.
-    pub(crate) fn solve_with(
-        &self,
-        settings: &SdpSettings,
-        warm: Option<(&Matrix, &Matrix)>,
-        gram: Option<&Cholesky>,
-    ) -> Result<(SdpSolution, Matrix), ConvexError> {
         let n = self.n;
         let rho = settings.rho;
         if !(rho > 0.0) {
             return Err(ConvexError::InvalidParameter("rho must be positive".into()));
         }
-        if let Some((z0, u0)) = warm {
-            if z0.shape() != (n, n) || u0.shape() != (n, n) {
-                return Err(ConvexError::DimensionMismatch(format!(
-                    "warm (Z, U) are {:?}, {:?}, expected {n}x{n}",
-                    z0.shape(),
-                    u0.shape()
-                )));
-            }
-            if !z0.is_finite() || !u0.is_finite() {
-                return Err(ConvexError::NotFinite);
-            }
-        }
 
-        let owned;
-        let chol: Option<&Cholesky> = match gram {
-            Some(f) => Some(f),
-            None => {
-                owned = self.gram_factor()?;
-                owned.as_ref()
-            }
+        // Factorize the affine projection's Gram matrix once (`None` for
+        // an unconstrained cone).
+        let m = self.constraints.len();
+        let chol = if m == 0 {
+            None
+        } else {
+            let gram = Matrix::from_fn(m, m, |i, j| {
+                self.constraints[i]
+                    .0
+                    .inner(&self.constraints[j].0)
+                    .unwrap_or(f64::NAN)
+            });
+            Some(Cholesky::new(&gram).map_err(|_| ConvexError::Infeasible)?)
         };
 
         let proj_affine = |mat: &Matrix| -> Result<Matrix, ConvexError> {
-            let Some(chol) = chol else {
+            let Some(chol) = &chol else {
                 return Ok(mat.clone());
             };
             // X = M − Σ w_i A_i with G w = A(M) − b.
@@ -230,10 +175,8 @@ impl SdpProblem {
             Ok(out)
         };
 
-        let (mut z, mut u) = match warm {
-            Some((z0, u0)) => (z0.clone(), u0.clone()),
-            None => (Matrix::zeros(n, n), Matrix::zeros(n, n)),
-        };
+        let mut z = Matrix::zeros(n, n);
+        let mut u = Matrix::zeros(n, n);
         let mut residual = f64::INFINITY;
         for iter in 0..settings.max_iter {
             // X-update: project Z − U − C/ρ onto the affine subspace.
@@ -245,23 +188,19 @@ impl SdpProblem {
             u = &(&u + &x) - &z_new;
             let diff = (&x - &z_new).frobenius_norm();
             // The ADMM dual residual ρ‖Z_k − Z_{k−1}‖_F. Without it the
-            // solve can stop at iteration 1: from a zero (or stale warm)
-            // seed the first affine projection is sometimes already PSD,
-            // making the consensus residual ~0 at a feasible but
-            // suboptimal point.
+            // solve can stop at iteration 1: from the zero seed the first
+            // affine projection is sometimes already PSD, making the
+            // consensus residual ~0 at a feasible but suboptimal point.
             let dual = rho * (&z_new - &z).frobenius_norm();
             z = z_new;
             residual = diff.max(self.constraint_residual(&z)).max(dual);
             if residual < settings.tol {
-                return Ok((
-                    SdpSolution {
-                        objective: self.c.inner(&z)?,
-                        x: z,
-                        iterations: iter + 1,
-                        residual,
-                    },
-                    u,
-                ));
+                return Ok(SdpSolution {
+                    objective: self.c.inner(&z)?,
+                    x: z,
+                    iterations: iter + 1,
+                    residual,
+                });
             }
         }
         Err(ConvexError::NonConvergence {

@@ -1,41 +1,31 @@
-//! Warm-start and solution-reuse layer for the convex solvers.
+//! Warm-start and solution-reuse layer for the ADMM-QP solver.
 //!
 //! At production scale most solve requests are near-duplicates: the same
 //! cell resolved every scheduling interval with a slowly drifting channel.
 //! This module exploits that redundancy. A [`WarmCache`] fingerprints each
-//! problem instance — a *structural* hash of the dimensions and sparsity
-//! patterns plus a *quantized coefficient digest* that tolerates small
-//! drift — and keeps a bounded, deterministic LRU of prior solutions and
-//! reusable factorizations per solver family:
-//!
-//! * **ADMM-QP** ([`crate::qp`]): seeds `x`/`y`/`z` from the nearest
-//!   cached solution and reuses the condensed KKT Cholesky whenever
-//!   `(P, A, ρ, σ)` are bit-identical; a rank-one channel perturbation
-//!   takes the O(n²) [`rcr_linalg::Cholesky::rank_one_update`] path
-//!   instead of the O(n³) refactorize.
-//! * **Interior-point QCQP** ([`crate::qcqp`]): seeds the primal from the
-//!   cached solution (in the barrier method a strictly feasible primal is
-//!   a centered-slack seed) and restarts the barrier parameter near the
-//!   previous solve's final `t`, skipping phase-I and most of the outer
-//!   homotopy.
-//! * **Conic-ADMM SDP** ([`crate::sdp`]): seeds the cone-side iterate `Z`
-//!   and the scaled dual `U`, and reuses the affine-projection Gram
-//!   Cholesky when the constraint matrices are bit-identical.
+//! [`crate::qp`] instance — a *structural* hash of the dimensions and
+//! sparsity patterns plus a *quantized coefficient digest* that tolerates
+//! small drift — and keeps a bounded, deterministic LRU of prior
+//! solutions and KKT factorizations. A hit seeds `x`/`y`/`z` from the
+//! nearest cached solution and reuses the condensed KKT Cholesky whenever
+//! `(P, A, ρ, σ)` are bit-identical to the ones it was computed for.
 //!
 //! Warm solves run to the *same* stopping tolerance as cold solves — the
 //! layer trades iterations, never accuracy. Every lookup, update and
 //! eviction is deterministic (ordered maps, an explicit recency clock, no
-//! hash-iteration order), so a fixed request trace produces bit-identical
-//! results at any cache size and regardless of when entries were evicted.
+//! hash-iteration order), so the results are a pure function of the
+//! request sequence and the capacity: replaying a trace into a fresh
+//! cache of the same capacity reproduces every solution bit. Results are
+//! *not* independent of the capacity — a different capacity changes
+//! which seed a solve starts from, and with it the last bits of the
+//! answer and the iteration count.
 
-use crate::qcqp::{QcqpProblem, QcqpSettings, QcqpSolution};
 use crate::qp::{QpProblem, QpSettings, QpSolution, QpWarmStart};
-use crate::sdp::{SdpProblem, SdpSettings, SdpSolution};
 use crate::ConvexError;
 use rcr_linalg::{Cholesky, Matrix};
 use std::collections::BTreeMap;
 
-/// Default number of cached entries per solver family.
+/// Default number of cached entries.
 pub const DEFAULT_CAPACITY: usize = 64;
 
 /// Counters describing how the cache has been used.
@@ -49,9 +39,6 @@ pub struct WarmStats {
     pub evictions: u64,
     /// Hits that additionally reused a cached factorization verbatim.
     pub factorization_reuses: u64,
-    /// Factorizations refreshed by a rank-one update instead of a
-    /// refactorize.
-    pub rank_one_updates: u64,
 }
 
 /// What the cache did for one solve.
@@ -64,8 +51,6 @@ pub struct WarmReport {
     pub exact: bool,
     /// A cached factorization was reused verbatim.
     pub factorization_reused: bool,
-    /// The factorization was refreshed by a rank-one update.
-    pub rank_one_updated: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -184,57 +169,6 @@ fn exact_hash_qp_pa(p: &QpProblem) -> u64 {
     h.finish()
 }
 
-fn fingerprint_qcqp(p: &QcqpProblem) -> u128 {
-    let mut s = Hasher::new(0x9C_97);
-    s.usize(p.num_vars());
-    s.usize(p.num_constraints());
-    hash_matrix_structure(&mut s, &p.objective().p);
-    for c in p.constraints() {
-        hash_matrix_structure(&mut s, &c.p);
-    }
-    if let Some((a, b)) = p.equality() {
-        hash_matrix_structure(&mut s, a);
-        s.usize(b.len());
-    }
-    let mut d = Hasher::new(0xD9_C9);
-    let forms = std::iter::once(p.objective()).chain(p.constraints().iter());
-    for f in forms {
-        hash_matrix_quantized(&mut d, &f.p);
-        hash_slice_quantized(&mut d, &f.q);
-        d.f64_quantized(f.r);
-    }
-    if let Some((a, b)) = p.equality() {
-        hash_matrix_quantized(&mut d, a);
-        hash_slice_quantized(&mut d, b);
-    }
-    key_of(s.finish(), d.finish())
-}
-
-fn fingerprint_sdp(p: &SdpProblem) -> u128 {
-    let mut s = Hasher::new(0x5D_90);
-    s.usize(p.dim());
-    s.usize(p.num_constraints());
-    hash_matrix_structure(&mut s, p.c());
-    for (a, _) in p.constraints() {
-        hash_matrix_structure(&mut s, a);
-    }
-    let mut d = Hasher::new(0xDD_5D);
-    hash_matrix_quantized(&mut d, p.c());
-    for (a, b) in p.constraints() {
-        hash_matrix_quantized(&mut d, a);
-        d.f64_quantized(*b);
-    }
-    key_of(s.finish(), d.finish())
-}
-
-fn exact_hash_sdp_constraints(p: &SdpProblem) -> u64 {
-    let mut h = Hasher::new(0xEC_5D);
-    for (a, _) in p.constraints() {
-        hash_matrix_exact(&mut h, a);
-    }
-    h.finish()
-}
-
 // ---------------------------------------------------------------------------
 // The LRU store
 // ---------------------------------------------------------------------------
@@ -328,7 +262,7 @@ impl<T> Lru<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Per-family cache entries
+// Cache entries
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -341,31 +275,14 @@ struct QpEntry {
     sigma: f64,
 }
 
-#[derive(Debug, Clone)]
-struct QcqpEntry {
-    x: Vec<f64>,
-    /// Final barrier parameter of the previous solve (`m / gap_bound`).
-    t_final: f64,
-}
-
-#[derive(Debug, Clone)]
-struct SdpEntry {
-    z: Matrix,
-    u: Matrix,
-    gram: Option<Cholesky>,
-    /// Bit-exact hash of the constraint matrices the Gram factor is for.
-    exact_a: u64,
-}
-
 // ---------------------------------------------------------------------------
 // The cache
 // ---------------------------------------------------------------------------
 
-/// A warm-start and solution-reuse cache over the three solver families.
+/// A warm-start and solution-reuse cache for ADMM-QP solves.
 ///
-/// Not thread-safe by design — wrap per worker or shard externally (the
-/// serve layer does the latter), which is also what keeps parallel runs
-/// bit-identical to serial ones.
+/// Not thread-safe by design — give each worker its own cache, which is
+/// also what keeps parallel runs bit-identical to serial ones.
 ///
 /// # Example
 /// ```
@@ -395,8 +312,6 @@ struct SdpEntry {
 pub struct WarmCache {
     clock: u64,
     qp: Lru<QpEntry>,
-    qcqp: Lru<QcqpEntry>,
-    sdp: Lru<SdpEntry>,
     stats: WarmStats,
 }
 
@@ -407,14 +322,12 @@ impl Default for WarmCache {
 }
 
 impl WarmCache {
-    /// Creates a cache holding at most `capacity` entries *per solver
-    /// family* (a capacity of 0 disables caching but still solves).
+    /// Creates a cache holding at most `capacity` entries (a capacity of
+    /// 0 disables caching but still solves).
     pub fn new(capacity: usize) -> Self {
         WarmCache {
             clock: 0,
             qp: Lru::new(capacity),
-            qcqp: Lru::new(capacity),
-            sdp: Lru::new(capacity),
             stats: WarmStats::default(),
         }
     }
@@ -424,9 +337,9 @@ impl WarmCache {
         self.stats
     }
 
-    /// Entries currently held, summed over the solver families.
+    /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.qp.map.len() + self.qcqp.map.len() + self.sdp.map.len()
+        self.qp.map.len()
     }
 
     /// True when no entries are cached.
@@ -438,8 +351,6 @@ impl WarmCache {
         self.clock += 1;
         self.clock
     }
-
-    // -- QP -----------------------------------------------------------------
 
     /// Solves a QP, warm-starting from (and updating) the cache.
     ///
@@ -473,7 +384,7 @@ impl WarmCache {
             report.exact = exact;
             self.stats.hits += 1;
             // Borrow the entry immutably via a clone of the small parts we
-            // need; the factor itself is only cloned on the rank-one path.
+            // need; the factor itself is never cloned.
             let (warm, factor_ok) = {
                 // Entry exists: lookup returned its key.
                 let Some(entry) = self.qp.touch(hit_key, clock) else {
@@ -550,89 +461,6 @@ impl WarmCache {
         Ok((sol, report))
     }
 
-    /// Re-solves after a rank-one perturbation `P' = P + α·v·vᵀ` of the
-    /// cached instance's quadratic term (`A` unchanged): the cached KKT
-    /// Cholesky is refreshed by an O(n²)
-    /// [`rcr_linalg::Cholesky::rank_one_update`] instead of the O(n³)
-    /// refactorize, then the solve warm-starts as usual. `problem` must
-    /// already *be* the perturbed instance; `(v, alpha)` describe how it
-    /// differs from the previously solved one. Falls back to the plain
-    /// [`WarmCache::solve_qp`] path (full refactorize) when no matching
-    /// entry exists, when `A` or the penalty parameters changed, or when
-    /// a downdate would leave the KKT matrix indefinite.
-    ///
-    /// # Errors
-    /// Those of [`QpProblem::solve`].
-    pub fn solve_qp_rank_one(
-        &mut self,
-        problem: &QpProblem,
-        v: &[f64],
-        alpha: f64,
-        settings: &QpSettings,
-    ) -> Result<(QpSolution, WarmReport), ConvexError> {
-        let key = fingerprint_qp(problem);
-        let structural = (key >> 64) as u64;
-        let exact_pa = exact_hash_qp_pa(problem);
-        let clock = self.tick();
-
-        let found = self.qp.lookup(
-            key,
-            *structure_range(structural).start(),
-            *structure_range(structural).end(),
-        );
-        let Some((hit_key, exact)) = found else {
-            return self.solve_qp(problem, settings);
-        };
-        // The condensed KKT matrix is P + σI + ρAᵀA, so a rank-one change
-        // of P is a rank-one change of the KKT matrix with the same (v, α).
-        let updated = {
-            let Some(entry) = self.qp.touch(hit_key, clock) else {
-                return Err(ConvexError::InvalidParameter(
-                    "warm cache entry vanished (internal invariant)".into(),
-                ));
-            };
-            if entry.rho.to_bits() != settings.rho.to_bits()
-                || entry.sigma.to_bits() != settings.sigma.to_bits()
-            {
-                None
-            } else {
-                let mut kkt = entry.kkt.clone();
-                match kkt.rank_one_update(v, alpha) {
-                    Ok(()) => Some((kkt, entry.warm.clone())),
-                    Err(_) => None,
-                }
-            }
-        };
-        let Some((factor, warm)) = updated else {
-            return self.solve_qp(problem, settings);
-        };
-        self.stats.hits += 1;
-        self.stats.rank_one_updates += 1;
-        let report = WarmReport {
-            hit: true,
-            exact,
-            factorization_reused: false,
-            rank_one_updated: true,
-        };
-        let sol = match problem.solve_with(settings, Some(&warm), Some(&factor)) {
-            Ok(sol) => sol,
-            Err(ConvexError::NonConvergence { .. }) => {
-                problem.solve_with(settings, None, Some(&factor))?
-            }
-            Err(e) => return Err(e),
-        };
-        self.store_qp(
-            hit_key,
-            key,
-            &sol,
-            problem,
-            Some(factor),
-            exact_pa,
-            settings,
-        )?;
-        Ok((sol, report))
-    }
-
     /// Refreshes the hit entry with the new solution (and optionally a new
     /// factorization), then moves it under the instance's current key.
     #[allow(clippy::too_many_arguments)]
@@ -659,203 +487,15 @@ impl WarmCache {
         self.qp.rekey(hit_key, new_key);
         Ok(())
     }
-
-    // -- QCQP ---------------------------------------------------------------
-
-    /// Solves a QCQP, warm-starting from (and updating) the cache.
-    ///
-    /// A hit seeds the barrier method with the cached primal (skipping
-    /// phase-I) and restarts the barrier parameter one `mu`-step below the
-    /// previous solve's final `t`, so only the last centering steps are
-    /// repeated. If drift pushed the cached point out of strict
-    /// feasibility the solve silently falls back to the cold path.
-    ///
-    /// # Errors
-    /// Those of [`QcqpProblem::solve`].
-    pub fn solve_qcqp(
-        &mut self,
-        problem: &QcqpProblem,
-        settings: &QcqpSettings,
-    ) -> Result<(QcqpSolution, WarmReport), ConvexError> {
-        let key = fingerprint_qcqp(problem);
-        let structural = (key >> 64) as u64;
-        let clock = self.tick();
-        let mut report = WarmReport::default();
-
-        let found = self.qcqp.lookup(
-            key,
-            *structure_range(structural).start(),
-            *structure_range(structural).end(),
-        );
-        if let Some((hit_key, exact)) = found {
-            let seed = self
-                .qcqp
-                .touch(hit_key, clock)
-                .map(|e| (e.x.clone(), e.t_final));
-            if let Some((x0, t_final)) = seed {
-                // Restart one homotopy step below the previous final t: the
-                // solution moved, so one round of re-centering is honest.
-                let t0 = (t_final / settings.mu).max(settings.t0);
-                match problem.solve_warm_start(&x0, t0, settings) {
-                    Ok(sol) => {
-                        report.hit = true;
-                        report.exact = exact;
-                        self.stats.hits += 1;
-                        self.store_qcqp(hit_key, key, &sol, problem);
-                        return Ok((sol, report));
-                    }
-                    // Stale seed (left the interior) — fall through cold.
-                    Err(ConvexError::Infeasible) | Err(ConvexError::NonConvergence { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-
-        self.stats.misses += 1;
-        let sol = problem.solve(settings)?;
-        let entry = QcqpEntry {
-            x: sol.x.clone(),
-            t_final: t_final_of(problem, &sol),
-        };
-        let evicted = self.qcqp.insert(key, entry, clock);
-        self.stats.evictions += evicted;
-        Ok((sol, report))
-    }
-
-    fn store_qcqp(
-        &mut self,
-        hit_key: u128,
-        new_key: u128,
-        sol: &QcqpSolution,
-        problem: &QcqpProblem,
-    ) {
-        if let Some(entry) = self.qcqp.map.get_mut(&hit_key) {
-            entry.entry.x = sol.x.clone();
-            entry.entry.t_final = t_final_of(problem, sol);
-        }
-        self.qcqp.rekey(hit_key, new_key);
-    }
-
-    // -- SDP ----------------------------------------------------------------
-
-    /// Solves an SDP, warm-starting from (and updating) the cache.
-    ///
-    /// A hit seeds the cone-side iterate `Z` and the scaled dual `U`; the
-    /// affine-projection Gram Cholesky is reused whenever the constraint
-    /// matrices are bit-identical to those it was computed for.
-    ///
-    /// # Errors
-    /// Those of [`SdpProblem::solve`].
-    pub fn solve_sdp(
-        &mut self,
-        problem: &SdpProblem,
-        settings: &SdpSettings,
-    ) -> Result<(SdpSolution, WarmReport), ConvexError> {
-        let key = fingerprint_sdp(problem);
-        let structural = (key >> 64) as u64;
-        let exact_a = exact_hash_sdp_constraints(problem);
-        let clock = self.tick();
-        let mut report = WarmReport::default();
-
-        let found = self.sdp.lookup(
-            key,
-            *structure_range(structural).start(),
-            *structure_range(structural).end(),
-        );
-        if let Some((hit_key, exact)) = found {
-            report.hit = true;
-            report.exact = exact;
-            self.stats.hits += 1;
-            let gram_ok = self
-                .sdp
-                .map
-                .get(&hit_key)
-                .map(|s| s.entry.exact_a == exact_a && s.entry.gram.is_some())
-                .unwrap_or(false);
-            let (sol, u_final) = {
-                let Some(entry) = self.sdp.touch(hit_key, clock) else {
-                    return Err(ConvexError::InvalidParameter(
-                        "warm cache entry vanished (internal invariant)".into(),
-                    ));
-                };
-                let gram = if gram_ok { entry.gram.as_ref() } else { None };
-                let warm = Some((&entry.z, &entry.u));
-                match problem.solve_with(settings, warm, gram) {
-                    Ok(out) => out,
-                    Err(ConvexError::NonConvergence { .. }) => {
-                        problem.solve_with(settings, None, gram)?
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            if gram_ok {
-                self.stats.factorization_reuses += 1;
-                report.factorization_reused = true;
-                self.store_sdp(hit_key, key, &sol, &u_final, None, exact_a);
-            } else {
-                let gram = problem.gram_factor()?;
-                self.store_sdp(hit_key, key, &sol, &u_final, Some(gram), exact_a);
-            }
-            return Ok((sol, report));
-        }
-
-        self.stats.misses += 1;
-        let gram = problem.gram_factor()?;
-        let (sol, u_final) = problem.solve_with(settings, None, gram.as_ref())?;
-        let entry = SdpEntry {
-            z: sol.x.clone(),
-            // The converged scaled dual: seeding it next time is what
-            // lets the warm solve skip re-converging the dual residual.
-            u: u_final,
-            gram,
-            exact_a,
-        };
-        let evicted = self.sdp.insert(key, entry, clock);
-        self.stats.evictions += evicted;
-        Ok((sol, report))
-    }
-
-    fn store_sdp(
-        &mut self,
-        hit_key: u128,
-        new_key: u128,
-        sol: &SdpSolution,
-        u_final: &Matrix,
-        new_gram: Option<Option<Cholesky>>,
-        exact_a: u64,
-    ) {
-        if let Some(entry) = self.sdp.map.get_mut(&hit_key) {
-            entry.entry.z = sol.x.clone();
-            entry.entry.u = u_final.clone();
-            if let Some(g) = new_gram {
-                entry.entry.gram = g;
-                entry.entry.exact_a = exact_a;
-            }
-        }
-        self.sdp.rekey(hit_key, new_key);
-    }
-}
-
-/// Recovers the final barrier parameter from a solution's gap bound
-/// (`gap_bound = m_eff / t_final`).
-fn t_final_of(problem: &QcqpProblem, sol: &QcqpSolution) -> f64 {
-    let m_eff = problem.num_constraints().max(1) as f64;
-    if sol.gap_bound > 0.0 && sol.gap_bound.is_finite() {
-        m_eff / sol.gap_bound
-    } else {
-        1.0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qcqp::QuadraticForm;
-    use rcr_linalg::vector;
 
     fn qp_instance(shift: f64) -> QpProblem {
-        // Dense SPD P (a channel-Gram-like matrix): rank-one channel
-        // perturbations keep the sparsity pattern, as in the serve trace.
+        // Dense SPD P (a channel-Gram-like matrix): channel perturbations
+        // keep the sparsity pattern.
         let n = 4;
         let p = Matrix::from_fn(n, n, |i, j| {
             let base = 1.0 / (1.0 + i.abs_diff(j) as f64);
@@ -911,51 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn qp_rank_one_path_matches_refactorized_solve() {
-        let mut cache = WarmCache::new(8);
-        let s = QpSettings::default();
-        let base = qp_instance(0.0);
-        cache.solve_qp(&base, &s).unwrap();
-
-        // Perturb P by α·vvᵀ.
-        let n = base.num_vars();
-        let v: Vec<f64> = (0..n).map(|i| 0.3 * ((i + 1) as f64).sin()).collect();
-        let alpha = 0.2;
-        let mut p2 = base.p().clone();
-        for i in 0..n {
-            for j in 0..n {
-                p2[(i, j)] += alpha * v[i] * v[j];
-            }
-        }
-        let perturbed = QpProblem::new(
-            p2,
-            base.q().to_vec(),
-            base.a().clone(),
-            base.l().to_vec(),
-            base.u().to_vec(),
-        )
-        .unwrap();
-
-        let (sol, rep) = cache.solve_qp_rank_one(&perturbed, &v, alpha, &s).unwrap();
-        assert!(rep.rank_one_updated, "{rep:?}");
-        let cold = perturbed.solve(&s).unwrap();
-        assert!((sol.objective - cold.objective).abs() < 1e-6);
-        assert!(vector::norm_inf(&vector::sub(&sol.x, &cold.x)) < 1e-4);
-        assert_eq!(cache.stats().rank_one_updates, 1);
-    }
-
-    #[test]
-    fn qp_rank_one_without_cached_entry_falls_back_cold() {
-        let mut cache = WarmCache::new(8);
-        let s = QpSettings::default();
-        let prob = qp_instance(0.0);
-        let v = vec![0.0; prob.num_vars()];
-        let (_, rep) = cache.solve_qp_rank_one(&prob, &v, 0.0, &s).unwrap();
-        assert!(!rep.hit && !rep.rank_one_updated);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
     fn eviction_is_deterministic_lru() {
         let mut cache = WarmCache::new(2);
         let s = QpSettings::default();
@@ -993,71 +588,6 @@ mod tests {
         assert!(!rep.hit);
         assert_eq!(a.x, b.x);
         assert!(cache.is_empty());
-    }
-
-    fn ball(center: &[f64], radius: f64) -> QuadraticForm {
-        let q: Vec<f64> = center.iter().map(|v| -v).collect();
-        let r = 0.5 * vector::dot(center, center) - 0.5 * radius * radius;
-        QuadraticForm {
-            p: Matrix::identity(center.len()),
-            q,
-            r,
-        }
-    }
-
-    fn qcqp_instance(shift: f64) -> QcqpProblem {
-        let obj =
-            QuadraticForm::new(Matrix::identity(2), vec![-1.0 - shift, -2.0 + shift], 0.0).unwrap();
-        QcqpProblem::new(obj, vec![ball(&[0.0, 0.0], 1.5)], None).unwrap()
-    }
-
-    #[test]
-    fn qcqp_repeat_and_drift_hit() {
-        let mut cache = WarmCache::new(8);
-        let s = QcqpSettings::default();
-        let (cold, r0) = cache.solve_qcqp(&qcqp_instance(0.0), &s).unwrap();
-        assert!(!r0.hit);
-        let (warm, r1) = cache.solve_qcqp(&qcqp_instance(0.0), &s).unwrap();
-        assert!(r1.hit);
-        assert!((cold.objective - warm.objective).abs() < 1e-6);
-        assert!(warm.newton_iterations <= cold.newton_iterations);
-        // Drifted instance: still hits via the structural match.
-        let drifted = qcqp_instance(1e-3);
-        let (sol, r2) = cache.solve_qcqp(&drifted, &s).unwrap();
-        assert!(r2.hit);
-        let cold_drift = drifted.solve(&s).unwrap();
-        assert!((sol.objective - cold_drift.objective).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sdp_repeat_hits_and_reuses_gram() {
-        let mut cache = WarmCache::new(8);
-        let s = SdpSettings::default();
-        let c = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let prob = SdpProblem::new(c, vec![(Matrix::identity(2), 1.0)]).unwrap();
-        let (cold, r0) = cache.solve_sdp(&prob, &s).unwrap();
-        assert!(!r0.hit);
-        let (warm, r1) = cache.solve_sdp(&prob, &s).unwrap();
-        assert!(r1.hit && r1.factorization_reused);
-        assert!((cold.objective - warm.objective).abs() < 1e-6);
-        assert!(warm.iterations <= cold.iterations);
-    }
-
-    #[test]
-    fn sdp_drifting_objective_warm_starts() {
-        let mut cache = WarmCache::new(8);
-        let s = SdpSettings::default();
-        let make = |eps: f64| {
-            let c = Matrix::from_rows(&[&[2.0 + eps, 1.0], &[1.0, 2.0 - eps]]).unwrap();
-            SdpProblem::new(c, vec![(Matrix::identity(2), 1.0)]).unwrap()
-        };
-        let (cold, _) = cache.solve_sdp(&make(0.0), &s).unwrap();
-        let drifted = make(1e-3);
-        let (sol, rep) = cache.solve_sdp(&drifted, &s).unwrap();
-        assert!(rep.hit);
-        let cold_drift = drifted.solve(&s).unwrap();
-        assert!((sol.objective - cold_drift.objective).abs() < 1e-6);
-        assert!(sol.iterations < cold.iterations);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! function of the request sequence.
 
 use proptest::prelude::*;
-use rcr_convex::qcqp::{QcqpProblem, QcqpSettings, QuadraticForm};
 use rcr_convex::qp::{QpProblem, QpSettings};
-use rcr_convex::sdp::{SdpProblem, SdpSettings};
 use rcr_convex::warm::WarmCache;
 use rcr_linalg::{vector, Matrix};
 
@@ -31,15 +29,6 @@ fn qp(p: &Matrix, q: &[f64]) -> QpProblem {
         vec![1.0; n],
     )
     .unwrap()
-}
-
-/// A unit-ball-ish constraint `½‖x‖² − ½r² ≤ 0` centered at the origin.
-fn ball(n: usize, radius: f64) -> QuadraticForm {
-    QuadraticForm {
-        p: Matrix::identity(n),
-        q: vec![0.0; n],
-        r: -0.5 * radius * radius,
-    }
 }
 
 proptest! {
@@ -73,57 +62,6 @@ proptest! {
             );
             prop_assert!(vector::norm_inf(&vector::sub(&warm.x, &cold.x)) < 1e-3);
         }
-    }
-
-    /// Same agreement for the barrier QCQP under drift of the linear
-    /// objective term.
-    #[test]
-    fn qcqp_warm_objective_matches_cold(
-        q0 in prop::collection::vec(-1.0f64..1.0, 2),
-        drift in -1e-3f64..1e-3,
-    ) {
-        let s = QcqpSettings::default();
-        let make = |shift: f64| {
-            let q: Vec<f64> = q0.iter().map(|v| v + shift).collect();
-            let obj = QuadraticForm::new(Matrix::identity(2), q, 0.0).unwrap();
-            QcqpProblem::new(obj, vec![ball(2, 1.5)], None).unwrap()
-        };
-        let mut cache = WarmCache::new(8);
-        cache.solve_qcqp(&make(0.0), &s).unwrap();
-        let drifted = make(drift);
-        let (warm, _) = cache.solve_qcqp(&drifted, &s).unwrap();
-        let cold = drifted.solve(&s).unwrap();
-        prop_assert!(
-            (warm.objective - cold.objective).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm.objective,
-            cold.objective
-        );
-    }
-
-    /// Same agreement for the conic-ADMM SDP under drift of C.
-    #[test]
-    fn sdp_warm_objective_matches_cold(
-        diag in 1.5f64..3.0,
-        off in -0.9f64..0.9,
-        eps in -1e-3f64..1e-3,
-    ) {
-        let s = SdpSettings::default();
-        let make = |e: f64| {
-            let c = Matrix::from_rows(&[&[diag + e, off], &[off, diag - e]]).unwrap();
-            SdpProblem::new(c, vec![(Matrix::identity(2), 1.0)]).unwrap()
-        };
-        let mut cache = WarmCache::new(8);
-        cache.solve_sdp(&make(0.0), &s).unwrap();
-        let drifted = make(eps);
-        let (warm, _) = cache.solve_sdp(&drifted, &s).unwrap();
-        let cold = drifted.solve(&s).unwrap();
-        prop_assert!(
-            (warm.objective - cold.objective).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm.objective,
-            cold.objective
-        );
     }
 
     /// Cache bookkeeping is a pure function of the request sequence:

@@ -166,72 +166,6 @@ impl Cholesky {
     pub fn log_determinant(&self) -> f64 {
         (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
-
-    /// Updates the factorization in place so it factors `A + alpha·v·vᵀ`
-    /// (classic `cholupdate`): Givens rotations for `alpha > 0`, hyperbolic
-    /// rotations for `alpha < 0`. O(n²) instead of the O(n³) refactorize,
-    /// which is what makes incremental re-solves after a rank-one channel
-    /// perturbation cheap.
-    ///
-    /// The factor is only replaced on success; on error `self` still
-    /// factors the original matrix.
-    ///
-    /// # Errors
-    /// * [`LinalgError::DimensionMismatch`] when `v.len()` differs from `n`.
-    /// * [`LinalgError::NotFinite`] for NaN/inf in `v` or `alpha`.
-    /// * [`LinalgError::NotPositiveDefinite`] when a downdate
-    ///   (`alpha < 0`) would leave the matrix indefinite.
-    pub fn rank_one_update(&mut self, v: &[f64], alpha: f64) -> Result<(), LinalgError> {
-        let n = self.l.rows();
-        if v.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "cholesky rank_one_update",
-                got: vec![n, v.len()],
-            });
-        }
-        if !alpha.is_finite() || v.iter().any(|x| !x.is_finite()) {
-            return Err(LinalgError::NotFinite);
-        }
-        if alpha == 0.0 {
-            return Ok(());
-        }
-        let scale = alpha.abs().sqrt();
-        let mut w: Vec<f64> = v.iter().map(|x| x * scale).collect();
-        // Work on a copy so a failed downdate leaves `self` intact.
-        let mut l = self.l.clone();
-        let tol = 1e-13 * l.max_abs().max(1.0);
-        for j in 0..n {
-            let ljj = l[(j, j)];
-            let r2 = if alpha > 0.0 {
-                ljj * ljj + w[j] * w[j]
-            } else {
-                ljj * ljj - w[j] * w[j]
-            };
-            if r2 <= tol * tol || !r2.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite { pivot: j });
-            }
-            let r = r2.sqrt();
-            let c = r / ljj;
-            let s = w[j] / ljj;
-            l[(j, j)] = r;
-            if alpha > 0.0 {
-                for i in (j + 1)..n {
-                    l[(i, j)] = (l[(i, j)] + s * w[i]) / c;
-                    w[i] = c * w[i] - s * l[(i, j)];
-                }
-            } else {
-                for i in (j + 1)..n {
-                    l[(i, j)] = (l[(i, j)] - s * w[i]) / c;
-                    w[i] = c * w[i] - s * l[(i, j)];
-                }
-            }
-        }
-        if !l.is_finite() {
-            return Err(LinalgError::NotFinite);
-        }
-        self.l = l;
-        Ok(())
-    }
 }
 
 /// LDLᵀ factorization `A = L * D * L^T` of a symmetric matrix, where `D` is
@@ -450,104 +384,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
         let ld = a.cholesky().unwrap().log_determinant();
         assert!((ld - 5.0f64.ln()).abs() < 1e-12);
-    }
-
-    fn reconstruct(ch: &Cholesky) -> Matrix {
-        let l = ch.factor();
-        let n = l.rows();
-        Matrix::from_fn(n, n, |i, j| {
-            (0..n).map(|k| l[(i, k)] * l[(j, k)]).sum::<f64>()
-        })
-    }
-
-    #[test]
-    fn rank_one_update_matches_refactorization() {
-        let a = Matrix::from_rows(&[&[6.0, 2.0, 1.0], &[2.0, 5.0, 2.0], &[1.0, 2.0, 4.0]]).unwrap();
-        let v = [0.5, -1.0, 2.0];
-        for alpha in [0.7, -0.1] {
-            let mut ch = a.cholesky().unwrap();
-            ch.rank_one_update(&v, alpha).unwrap();
-            let mut expected = a.clone();
-            for i in 0..3 {
-                for j in 0..3 {
-                    expected[(i, j)] += alpha * v[i] * v[j];
-                }
-            }
-            let got = reconstruct(&ch);
-            for i in 0..3 {
-                for j in 0..3 {
-                    assert!(
-                        (got[(i, j)] - expected[(i, j)]).abs() < 1e-10,
-                        "alpha={alpha} entry ({i},{j}): {} vs {}",
-                        got[(i, j)],
-                        expected[(i, j)]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rank_one_update_zero_alpha_is_noop() {
-        let a = Matrix::from_rows(&[&[3.0, 1.0], &[1.0, 2.0]]).unwrap();
-        let mut ch = a.cholesky().unwrap();
-        let before = ch.factor().clone();
-        ch.rank_one_update(&[1.0, 1.0], 0.0).unwrap();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(ch.factor()[(i, j)], before[(i, j)]);
-            }
-        }
-    }
-
-    #[test]
-    fn rank_one_downdate_to_indefinite_fails_and_preserves_factor() {
-        let a = Matrix::from_diag(&[1.0, 1.0]);
-        let mut ch = a.cholesky().unwrap();
-        let before = ch.factor().clone();
-        // A - 2·e0·e0ᵀ has a negative eigenvalue.
-        let err = ch.rank_one_update(&[2.0f64.sqrt(), 0.0], -1.0);
-        assert!(matches!(err, Err(LinalgError::NotPositiveDefinite { .. })));
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(ch.factor()[(i, j)], before[(i, j)]);
-            }
-        }
-    }
-
-    #[test]
-    fn rank_one_update_validates_input() {
-        let a = Matrix::from_diag(&[1.0, 1.0]);
-        let mut ch = a.cholesky().unwrap();
-        assert!(matches!(
-            ch.rank_one_update(&[1.0], 1.0),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-        assert!(matches!(
-            ch.rank_one_update(&[f64::NAN, 0.0], 1.0),
-            Err(LinalgError::NotFinite)
-        ));
-    }
-
-    #[test]
-    fn rank_one_updated_factor_solves_updated_system() {
-        let a = Matrix::from_rows(&[&[6.0, 2.0, 1.0], &[2.0, 5.0, 2.0], &[1.0, 2.0, 4.0]]).unwrap();
-        let v = [1.0, 0.5, -0.25];
-        let alpha = 0.3;
-        let mut ch = a.cholesky().unwrap();
-        ch.rank_one_update(&v, alpha).unwrap();
-        let mut updated = a.clone();
-        for i in 0..3 {
-            for j in 0..3 {
-                updated[(i, j)] += alpha * v[i] * v[j];
-            }
-        }
-        let b = [1.0, -2.0, 3.0];
-        let x = ch.solve(&b).unwrap();
-        let r = updated.matvec(&x).unwrap();
-        for (got, want) in r.iter().zip(&b) {
-            assert!((got - want).abs() < 1e-10);
-        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ echo "== cargo fmt --check ==" >&2
 cargo fmt --check
 
 echo "== cargo clippy (warnings are errors) ==" >&2
-cargo clippy --workspace --benches -- -D warnings
+cargo clippy --workspace --all-targets --benches -- -D warnings
 
 if [ "$bench_smoke" -eq 1 ]; then
   echo "== bench smoke + regression gate (vs BENCH_8.json) ==" >&2
