@@ -26,7 +26,7 @@ use rcr_convex::qp::{QpProblem, QpSettings};
 use rcr_convex::warm::WarmCache;
 use rcr_core::robust::{train_classifier, BlobData, RobustTrainConfig, TrainMode};
 use rcr_kernels::{gemm, gemm_naive, Scratch};
-use rcr_linalg::{Cholesky, Matrix, SymmetricEigen};
+use rcr_linalg::{Cholesky, LinalgError, Matrix, SymmetricEigen};
 use rcr_qos::power::{solve_power, PowerProblem};
 use rcr_qos::rra::solve_greedy;
 use rcr_qos::workload::{Scenario, ScenarioConfig};
@@ -101,6 +101,138 @@ fn symmetric(n: usize, seed: u64) -> Matrix {
     Matrix::from_fn(n, n, |i, j| 0.5 * (g[(i, j)] + g[(j, i)]))
 }
 
+/// The historical unblocked left-looking Cholesky that `rcr-linalg` ran
+/// before the blocked kernel, statement for statement: the slower leg of
+/// the `cholesky/` speedup floor. Returns `L`.
+fn cholesky_unblocked_reference(a: &Matrix) -> Result<Matrix, LinalgError> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare {
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    if !a.is_finite() {
+        return Err(LinalgError::NotFinite);
+    }
+    let n = a.rows();
+    let tol = 1e-13 * a.max_abs().max(1.0);
+    let mut l = Matrix::zeros(n, n);
+    for j in 0..n {
+        let mut d = a[(j, j)];
+        for k in 0..j {
+            d -= l[(j, k)] * l[(j, k)];
+        }
+        if d <= tol {
+            return Err(LinalgError::NotPositiveDefinite { pivot: j });
+        }
+        let dj = d.sqrt();
+        l[(j, j)] = dj;
+        for i in (j + 1)..n {
+            let mut s = a[(i, j)];
+            for k in 0..j {
+                s -= l[(i, k)] * l[(j, k)];
+            }
+            l[(i, j)] = s / dj;
+        }
+    }
+    Ok(l)
+}
+
+/// Maximum number of full Jacobi sweeps before reporting non-convergence.
+const MAX_SWEEPS: usize = 100;
+
+/// The historical cyclic-Jacobi eigensolver that `rcr-linalg` ran before
+/// the blocked tridiagonalization + implicit-QL kernel, statement for
+/// statement: the slower leg of the `sdp/projection` and `eigh_batch`
+/// speedup floors. Returns the eigenvalues ascending with matching
+/// eigenvector columns.
+fn eigen_jacobi_reference(a: &Matrix) -> Result<(Vec<f64>, Matrix), LinalgError> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare {
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    if !a.is_finite() {
+        return Err(LinalgError::NotFinite);
+    }
+    let scale = a.max_abs().max(1.0);
+    if !a.is_symmetric(1e-8 * scale) {
+        return Err(LinalgError::InvalidInput("matrix is not symmetric".into()));
+    }
+    let n = a.rows();
+    let mut m = a.symmetrize()?;
+    let mut v = Matrix::identity(n);
+    let tol = 1e-14 * scale;
+
+    for _sweep in 0..MAX_SWEEPS {
+        let mut off = 0.0;
+        for p in 0..n {
+            for q in (p + 1)..n {
+                off += m[(p, q)] * m[(p, q)];
+            }
+        }
+        if off.sqrt() <= tol {
+            return Ok(jacobi_sorted(m, v));
+        }
+        for p in 0..n {
+            for q in (p + 1)..n {
+                let apq = m[(p, q)];
+                if apq.abs() <= tol * 1e-2 {
+                    continue;
+                }
+                let app = m[(p, p)];
+                let aqq = m[(q, q)];
+                // Classic Jacobi rotation angle.
+                let theta = (aqq - app) / (2.0 * apq);
+                let t = if theta >= 0.0 {
+                    1.0 / (theta + (1.0 + theta * theta).sqrt())
+                } else {
+                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
+                };
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = t * c;
+
+                // Update rows/columns p and q of M.
+                for k in 0..n {
+                    let mkp = m[(k, p)];
+                    let mkq = m[(k, q)];
+                    m[(k, p)] = c * mkp - s * mkq;
+                    m[(k, q)] = s * mkp + c * mkq;
+                }
+                for k in 0..n {
+                    let mpk = m[(p, k)];
+                    let mqk = m[(q, k)];
+                    m[(p, k)] = c * mpk - s * mqk;
+                    m[(q, k)] = s * mpk + c * mqk;
+                }
+                // Accumulate eigenvectors.
+                for k in 0..n {
+                    let vkp = v[(k, p)];
+                    let vkq = v[(k, q)];
+                    v[(k, p)] = c * vkp - s * vkq;
+                    v[(k, q)] = s * vkp + c * vkq;
+                }
+            }
+        }
+    }
+    Err(LinalgError::NonConvergence {
+        iterations: MAX_SWEEPS,
+    })
+}
+
+/// Sorts a converged Jacobi iterate's diagonal ascending (IEEE total
+/// order) and permutes the eigenvector columns to match.
+fn jacobi_sorted(m: Matrix, v: Matrix) -> (Vec<f64>, Matrix) {
+    let n = m.rows();
+    let mut idx: Vec<usize> = (0..n).collect();
+    let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
+    idx.sort_by(|&a, &b| diag[a].total_cmp(&diag[b]));
+    let eigenvalues: Vec<f64> = idx.iter().map(|&i| diag[i]).collect();
+    let eigenvectors = Matrix::from_fn(n, n, |r, c| v[(r, idx[c])]);
+    (eigenvalues, eigenvectors)
+}
+
 /// One-shot dense Cholesky at the KKT sizes the QP path factors:
 /// unblocked reference column algorithm vs the right-looking blocked
 /// kernel behind [`Cholesky::new`]. The baseline pins a `>= 1.5x`
@@ -113,11 +245,7 @@ fn bench_cholesky(c: &mut Criterion) {
     let n = 96usize;
     let a = spd(n, 0x77);
     group.bench_with_input(BenchmarkId::new("unblocked", n), &n, |be, _| {
-        be.iter(|| {
-            Cholesky::new_unblocked(black_box(&a))
-                .expect("spd")
-                .factor()[(0, 0)]
-        })
+        be.iter(|| cholesky_unblocked_reference(black_box(&a)).expect("spd")[(0, 0)])
     });
     group.bench_with_input(BenchmarkId::new("blocked", n), &n, |be, _| {
         be.iter(|| Cholesky::new(black_box(&a)).expect("spd").factor()[(0, 0)])
@@ -127,11 +255,11 @@ fn bench_cholesky(c: &mut Criterion) {
 
 /// The SDP solver's per-iteration hot path: projection of a symmetric
 /// iterate onto the PSD cone. `jacobi` is the historical cyclic-Jacobi
-/// eigensolver applied whole-matrix; `blocked` is what
-/// [`Matrix::psd_projection`] actually runs now — the blocked
-/// tridiagonalization + implicit-QL front end that `SymmetricEigen::new`
-/// dispatches to at/above the crossover. The baseline pins the
-/// end-to-end projection speedup this rewiring bought.
+/// eigensolver followed by the `V·diag·Vᵀ` rebuild
+/// `SymmetricEigen::reconstruct_with` performs; `blocked` is what
+/// [`Matrix::psd_projection`] runs — `SymmetricEigen::new`, the blocked
+/// tridiagonalization + implicit-QL kernel at every size. The baseline
+/// pins the end-to-end projection speedup this rewiring bought.
 fn bench_sdp_projection(c: &mut Criterion) {
     let mut group = c.benchmark_group("sdp");
     group.sample_size(20);
@@ -139,9 +267,10 @@ fn bench_sdp_projection(c: &mut Criterion) {
     let a = symmetric(n, 0x88);
     group.bench_with_input(BenchmarkId::new("projection/jacobi", n), &n, |be, _| {
         be.iter(|| {
-            let eig = SymmetricEigen::new_jacobi(black_box(&a)).expect("eigen");
-            let clipped: Vec<f64> = eig.eigenvalues().iter().map(|&l| l.max(0.0)).collect();
-            eig.reconstruct_with(&clipped).expect("reconstruct")[(0, 0)]
+            let (vals, vecs) = eigen_jacobi_reference(black_box(&a)).expect("eigen");
+            let clipped: Vec<f64> = vals.iter().map(|&l| l.max(0.0)).collect();
+            let vd = Matrix::from_fn(n, n, |r, c| vecs[(r, c)] * clipped[c]);
+            vd.matmul(&vecs.transpose()).expect("reconstruct")[(0, 0)]
         })
     });
     group.bench_with_input(BenchmarkId::new("projection/blocked", n), &n, |be, _| {
@@ -165,11 +294,7 @@ fn bench_eigh_batch(c: &mut Criterion) {
         be.iter(|| {
             items
                 .iter()
-                .map(|a| {
-                    SymmetricEigen::new_jacobi(black_box(a))
-                        .expect("eigen")
-                        .eigenvalues()[0]
-                })
+                .map(|a| eigen_jacobi_reference(black_box(a)).expect("eigen").0[0])
                 .sum::<f64>()
         })
     });

@@ -20,12 +20,9 @@
 //! cones the experiments need.
 //!
 //! The per-iteration cost is dominated by the Z-update's
-//! eigendecomposition. That call dispatches on cone size inside
-//! `rcr-linalg` (see [`rcr_linalg::EIGH_CROSSOVER`]): small cones keep the
-//! cyclic-Jacobi path bit-for-bit, larger ones take the blocked
-//! tridiagonalization + implicit-QL kernel — iterate trajectories and
-//! iteration counts are unchanged in the small regime and only the
-//! per-iteration wall time changes in the large one.
+//! eigendecomposition: the blocked tridiagonalization + implicit-QL
+//! kernel behind [`rcr_linalg::SymmetricEigen`], one eigensolver at every
+//! cone size.
 
 use crate::ConvexError;
 use rcr_linalg::{Cholesky, Matrix};

@@ -31,9 +31,9 @@ fn sdp_and_warm_qp_answers_are_pinned_bit_for_bit() {
         .as_slice()
         .iter()
         .fold(0u64, |h, x| h.rotate_left(7) ^ x.to_bits());
-    assert_eq!(res.trace.to_bits(), 0x4028_c837_f886_46fd);
+    assert_eq!(res.trace.to_bits(), 0x4028_c837_f886_46f7);
     assert_eq!(res.sdp_iterations, 42);
-    assert_eq!(r_c_fold, 0xf9c4_710b_0c23_2c57);
+    assert_eq!(r_c_fold, 0xe49a_5b42_9d16_d241);
 
     // A drifting 6-variable QP: q drifts every step, step 3 repeats step 2
     // exactly, and P drifts from step 6 on (a hit that must refactorize).

@@ -579,8 +579,7 @@ pub fn eigh_with_block(
     let result = tql2(vals, &mut e, &mut z, n);
 
     if result.is_ok() {
-        // Ascending IEEE total order with matching eigenvector columns —
-        // the contract the Jacobi path established.
+        // Ascending IEEE total order with matching eigenvector columns.
         sort_eigh(vals, &mut z, &mut w, n);
         a.copy_from_slice(&z);
     }
@@ -712,19 +711,27 @@ fn accumulate_tridiag_q(a: &[f64], n: usize, tau: &[f64], z: &mut [f64]) {
 /// with the subdiagonal in `e[0..n-1]` and is destroyed. On success `d`
 /// holds unordered eigenvalues and the columns of `z` the matching
 /// eigenvectors.
+///
+/// Deflation uses EISPACK's running-norm test: `e[m]` is negligible once
+/// `|e[m]| <= ε·tst1`, where `tst1 = max |d[l]| + |e[l]|` over the rows
+/// already visited. A local test against `|d[m]| + |d[m+1]|` never passes
+/// inside a cluster of zero eigenvalues (its right-hand side is itself
+/// about 0), so exactly rank-deficient input would exhaust
+/// [`QL_MAX_ITER`].
 fn tql2(d: &mut [f64], e: &mut [f64], z: &mut [f64], n: usize) -> Result<(), usize> {
     if n <= 1 {
         return Ok(());
     }
     e[n - 1] = 0.0;
+    let mut tst1 = 0.0f64;
     for l in 0..n {
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
         let mut iter = 0;
         loop {
             // Find the first negligible subdiagonal at or after l.
             let mut m = l;
             while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
+                if e[m].abs() <= f64::EPSILON * tst1 {
                     break;
                 }
                 m += 1;

@@ -28,7 +28,7 @@ impl Cholesky {
     ///
     /// Delegates to the blocked right-looking kernel in `rcr-kernels` at
     /// every size: the blocked factorization is bit-identical to the
-    /// historical unblocked loop (kept as [`Cholesky::new_unblocked`]), so
+    /// unblocked reference loop (`rcr_kernels::cholesky_unblocked`), so
     /// there is no crossover threshold to tune — blocking degenerates to
     /// the reference loop for `n` at or below the panel width and wins
     /// above it.
@@ -37,8 +37,8 @@ impl Cholesky {
     /// * [`LinalgError::NotSquare`] for non-square input.
     /// * [`LinalgError::NotFinite`] for NaN/inf entries.
     /// * [`LinalgError::NotPositiveDefinite`] when a pivot is non-positive;
-    ///   `pivot` reports the first offending column, identically in the
-    ///   blocked and unblocked paths.
+    ///   `pivot` reports the first offending column, identically to the
+    ///   unblocked reference loop.
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
@@ -59,46 +59,6 @@ impl Cholesky {
         for i in 0..n {
             for j in (i + 1)..n {
                 l[(i, j)] = 0.0;
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// The historical unblocked left-looking factorization, retained as the
-    /// bit-identity oracle for [`Cholesky::new`] (equivalence is pinned by
-    /// proptests) and as the baseline leg of the `cholesky/` bench group.
-    ///
-    /// # Errors
-    /// Identical to [`Cholesky::new`], including the reported pivot index.
-    pub fn new_unblocked(a: &Matrix) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        if !a.is_finite() {
-            return Err(LinalgError::NotFinite);
-        }
-        let n = a.rows();
-        let tol = 1e-13 * a.max_abs().max(1.0);
-        let mut l = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut d = a[(j, j)];
-            for k in 0..j {
-                d -= l[(j, k)] * l[(j, k)];
-            }
-            if d <= tol {
-                return Err(LinalgError::NotPositiveDefinite { pivot: j });
-            }
-            let dj = d.sqrt();
-            l[(j, j)] = dj;
-            for i in (j + 1)..n {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                l[(i, j)] = s / dj;
             }
         }
         Ok(Cholesky { l })
@@ -333,7 +293,17 @@ mod tests {
 
     #[test]
     fn blocked_and_unblocked_agree_bitwise_including_pivots() {
-        // Deterministic SPD matrix large enough to exercise multiple panels.
+        // `Cholesky::new` (blocked kernel) against the kernel-level
+        // unblocked reference loop, on a deterministic SPD matrix large
+        // enough to exercise multiple panels.
+        let unblocked = |a: &Matrix| -> Result<Matrix, LinalgError> {
+            let n = a.rows();
+            let tol = 1e-13 * a.max_abs().max(1.0);
+            let mut l = a.clone();
+            rcr_kernels::cholesky_unblocked(l.as_mut_slice(), n, n, tol)
+                .map_err(|pivot| LinalgError::NotPositiveDefinite { pivot })?;
+            Ok(l)
+        };
         let n = 70;
         let g = Matrix::from_fn(n, n, |i, j| {
             ((i * 31 + j * 17 + 5) % 97) as f64 / 97.0 - 0.5
@@ -343,12 +313,12 @@ mod tests {
                 + if i == j { 1.0 } else { 0.0 }
         });
         let blocked = Cholesky::new(&a).unwrap();
-        let unblocked = Cholesky::new_unblocked(&a).unwrap();
+        let reference = unblocked(&a).unwrap();
         for i in 0..n {
-            for j in 0..n {
+            for j in 0..=i {
                 assert_eq!(
                     blocked.factor()[(i, j)].to_bits(),
-                    unblocked.factor()[(i, j)].to_bits(),
+                    reference[(i, j)].to_bits(),
                     "factor mismatch at ({i},{j})"
                 );
             }
@@ -359,7 +329,7 @@ mod tests {
             let mut p = a.clone();
             p[(bad, bad)] = -2.0;
             let eb = Cholesky::new(&p).expect_err("blocked must fail");
-            let eu = Cholesky::new_unblocked(&p).expect_err("unblocked must fail");
+            let eu = unblocked(&p).expect_err("unblocked must fail");
             assert_eq!(eb, eu, "pivot divergence with poisoned diag {bad}");
             assert!(matches!(
                 eb,

@@ -1,11 +1,13 @@
 use crate::{LinalgError, Matrix};
 
 /// Eigendecomposition `A = V * diag(λ) * V^T` of a symmetric matrix,
-/// computed with the cyclic Jacobi rotation method.
+/// computed by Householder tridiagonalization followed by implicit-shift
+/// QL (the blocked `rcr_kernels::eigh` kernel) at every size.
 ///
-/// Jacobi is slower than tridiagonal QL for large matrices but is simple,
-/// unconditionally stable and computes small eigenvalues to high relative
-/// accuracy — exactly what the PSD-projection step of the SDP solver needs.
+/// The QL deflation test is EISPACK's running-norm test, so exactly
+/// rank-deficient input (a cluster of zero eigenvalues, as in the PSD
+/// projections and trace-minimization spectra of the SDP solver)
+/// converges like any other.
 ///
 /// Eigenvalues are returned in ascending order with matching eigenvector
 /// columns.
@@ -27,28 +29,13 @@ pub struct SymmetricEigen {
     eigenvectors: Matrix,
 }
 
-/// Maximum number of full Jacobi sweeps before reporting non-convergence.
-const MAX_SWEEPS: usize = 100;
-
-/// Crossover size between the two eigensolver backends: below this order
-/// [`SymmetricEigen::new`] runs cyclic Jacobi (high relative accuracy on
-/// the tiny matrices the SDP cone projections see, results unchanged from
-/// every earlier release); at or above it, the blocked
-/// tridiagonalization + implicit-QL kernel from `rcr-kernels`, which is
-/// O(n³) with a far smaller constant than Jacobi's sweep loop.
-pub const EIGH_CROSSOVER: usize = 32;
-
 impl SymmetricEigen {
     /// Computes the eigendecomposition of a symmetric matrix.
     ///
     /// The input is validated for symmetry with tolerance scaled to its
     /// magnitude; call [`Matrix::symmetrize`] first for nearly-symmetric data.
-    ///
-    /// Dispatches on size: cyclic Jacobi below [`EIGH_CROSSOVER`]
-    /// (unchanged behaviour for the small matrices in the SDP cone
-    /// projections), blocked tridiagonalization + implicit QL at or above
-    /// it. Both return eigenvalues ascending (IEEE total order) with
-    /// matching eigenvector columns.
+    /// Eigenvalues come back ascending (IEEE total order) with matching
+    /// eigenvector columns.
     ///
     /// # Errors
     /// * [`LinalgError::NotSquare`] for non-square input.
@@ -57,13 +44,7 @@ impl SymmetricEigen {
     /// * [`LinalgError::NonConvergence`] if the iteration fails to converge
     ///   (practically unreachable for finite symmetric input).
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::validate(a)?;
-        if a.rows() >= EIGH_CROSSOVER {
-            let mut scratch = rcr_kernels::Scratch::new();
-            Self::new_blocked_with_scratch(a, &mut scratch)
-        } else {
-            Self::new_jacobi(a)
-        }
+        Self::new_blocked_with_scratch(a, &mut rcr_kernels::Scratch::new())
     }
 
     fn validate(a: &Matrix) -> Result<(), LinalgError> {
@@ -83,11 +64,9 @@ impl SymmetricEigen {
         Ok(())
     }
 
-    /// The blocked tridiagonalization + implicit-QL backend at every size
-    /// (no Jacobi crossover), on an explicit [`rcr_kernels::Scratch`] pool
-    /// so repeated same-size decompositions over one reused pool stop
-    /// allocating kernel workspace. The robust RRA solver uses it for its
-    /// Gram spectrum. Validation is identical to [`SymmetricEigen::new`].
+    /// [`SymmetricEigen::new`] on an explicit [`rcr_kernels::Scratch`]
+    /// pool, so repeated same-size decompositions over one reused pool
+    /// stop allocating kernel workspace. Same validation, same bits.
     ///
     /// # Errors
     /// As for [`SymmetricEigen::new`].
@@ -106,92 +85,6 @@ impl SymmetricEigen {
             eigenvalues: vals,
             eigenvectors: m,
         })
-    }
-
-    /// The cyclic Jacobi backend, always available regardless of size —
-    /// the baseline leg of the `sdp/projection` bench group and the
-    /// accuracy oracle in tests.
-    ///
-    /// # Errors
-    /// As for [`SymmetricEigen::new`].
-    pub fn new_jacobi(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::validate(a)?;
-        let scale = a.max_abs().max(1.0);
-        let n = a.rows();
-        // rcr-lint: allow(no-unwrap-in-lib, reason = "symmetrize only errs on non-square input, rejected two lines above")
-        let mut m = a.symmetrize().expect("square checked above");
-        let mut v = Matrix::identity(n);
-        let tol = 1e-14 * scale;
-
-        for _sweep in 0..MAX_SWEEPS {
-            let mut off = 0.0;
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    off += m[(p, q)] * m[(p, q)];
-                }
-            }
-            if off.sqrt() <= tol {
-                return Ok(Self::sorted(m, v));
-            }
-            for p in 0..n {
-                for q in (p + 1)..n {
-                    let apq = m[(p, q)];
-                    if apq.abs() <= tol * 1e-2 {
-                        continue;
-                    }
-                    let app = m[(p, p)];
-                    let aqq = m[(q, q)];
-                    // Classic Jacobi rotation angle.
-                    let theta = (aqq - app) / (2.0 * apq);
-                    let t = if theta >= 0.0 {
-                        1.0 / (theta + (1.0 + theta * theta).sqrt())
-                    } else {
-                        -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                    };
-                    let c = 1.0 / (1.0 + t * t).sqrt();
-                    let s = t * c;
-
-                    // Update rows/columns p and q of M.
-                    for k in 0..n {
-                        let mkp = m[(k, p)];
-                        let mkq = m[(k, q)];
-                        m[(k, p)] = c * mkp - s * mkq;
-                        m[(k, q)] = s * mkp + c * mkq;
-                    }
-                    for k in 0..n {
-                        let mpk = m[(p, k)];
-                        let mqk = m[(q, k)];
-                        m[(p, k)] = c * mpk - s * mqk;
-                        m[(q, k)] = s * mpk + c * mqk;
-                    }
-                    // Accumulate eigenvectors.
-                    for k in 0..n {
-                        let vkp = v[(k, p)];
-                        let vkq = v[(k, q)];
-                        v[(k, p)] = c * vkp - s * vkq;
-                        v[(k, q)] = s * vkp + c * vkq;
-                    }
-                }
-            }
-        }
-        Err(LinalgError::NonConvergence {
-            iterations: MAX_SWEEPS,
-        })
-    }
-
-    fn sorted(m: Matrix, v: Matrix) -> Self {
-        let n = m.rows();
-        let mut idx: Vec<usize> = (0..n).collect();
-        let diag: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-        // IEEE total order: ascending, with any NaN (impossible for a
-        // converged Jacobi sweep, but never worth a panic) sorting last.
-        idx.sort_by(|&a, &b| diag[a].total_cmp(&diag[b]));
-        let eigenvalues: Vec<f64> = idx.iter().map(|&i| diag[i]).collect();
-        let eigenvectors = Matrix::from_fn(n, n, |r, c| v[(r, idx[c])]);
-        SymmetricEigen {
-            eigenvalues,
-            eigenvectors,
-        }
     }
 
     /// Eigenvalues in ascending order.
@@ -313,33 +206,105 @@ mod tests {
         assert!(a.symmetric_eigen().is_err());
     }
 
+    /// Deterministic values in [-1, 1] (splitmix64).
+    fn uniform(len: usize, mut state: u64) -> Vec<f64> {
+        (0..len)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+            })
+            .collect()
+    }
+
     #[test]
-    fn blocked_backend_agrees_with_jacobi_above_crossover() {
-        // n >= EIGH_CROSSOVER so `new` takes the blocked QL path; Jacobi is
-        // the accuracy oracle. Eigenvalues agree to tight tolerance and the
-        // decomposition reconstructs the input.
-        let n = EIGH_CROSSOVER + 9;
-        let g = Matrix::from_fn(n, n, |i, j| {
-            ((i * 23 + j * 41 + 7) % 83) as f64 / 83.0 - 0.5
-        });
-        let a = Matrix::from_fn(n, n, |i, j| {
-            (0..n).map(|k| g[(k, i)] * g[(k, j)]).sum::<f64>() / n as f64
-        });
-        let blocked = a.symmetric_eigen().unwrap();
-        let jacobi = SymmetricEigen::new_jacobi(&a).unwrap();
-        for (b, j) in blocked.eigenvalues().iter().zip(jacobi.eigenvalues()) {
-            assert!((b - j).abs() < 1e-9, "eigenvalue mismatch: {b} vs {j}");
+    fn exactly_rank_two_inputs_converge() {
+        // Exact rank-2 Gram matrices V·Vᵀ: n − 2 eigenvalues are zero. The
+        // QL deflation test must not measure a subdiagonal against the
+        // (vanishing) neighbouring diagonal entries of that zero cluster.
+        for n in [32usize, 40, 64] {
+            for seed in 0..40u64 {
+                let v = Matrix::from_vec(n, 2, uniform(2 * n, (n as u64) << 32 | seed)).unwrap();
+                let a = v.matmul(&v.transpose()).unwrap();
+                let e = a
+                    .symmetric_eigen()
+                    .unwrap_or_else(|err| panic!("n={n} seed={seed}: {err}"));
+                let vecs = e.eigenvectors();
+                let lam = Matrix::from_diag(e.eigenvalues());
+                let residual = &a.matmul(vecs).unwrap() - &vecs.matmul(&lam).unwrap();
+                let bound = 1e-12 * a.inf_norm().max(1.0);
+                assert!(
+                    residual.inf_norm() < bound,
+                    "n={n} seed={seed}: ‖AV − VΛ‖∞ = {:e} ≥ {bound:e}",
+                    residual.inf_norm()
+                );
+            }
         }
-        for w in blocked.eigenvalues().windows(2) {
-            assert!(w[0] <= w[1], "eigenvalues must be ascending");
+    }
+
+    #[test]
+    fn known_spectrum_is_recovered() {
+        // A = Q·diag(λ)·Qᵀ with Q orthogonal (QR of a seeded draw) and λ
+        // known: full rank with a repeated cluster, and rank 2–3 with a
+        // zero cluster. Eigenvalues, ascending order, reconstruction and
+        // orthonormality are all checked within tolerances scaled by n.
+        let full = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|i| {
+                    if i % 4 == 0 {
+                        0.5
+                    } else {
+                        (i as f64 - 0.4 * n as f64) / n as f64
+                    }
+                })
+                .collect()
+        };
+        let low = |n: usize, modes: &[f64]| -> Vec<f64> {
+            let mut lam = vec![0.0; n];
+            lam[..modes.len()].copy_from_slice(modes);
+            lam
+        };
+        let cases = [
+            (5, full(5)),
+            (24, full(24)),
+            (41, full(41)),
+            (32, low(32, &[1.5, 3.0])),
+            (64, low(64, &[-2.0, 0.75, 4.0])),
+        ];
+        for (n, lam) in cases {
+            let g = Matrix::from_vec(n, n, uniform(n * n, 0xE16 ^ n as u64)).unwrap();
+            let q = g.qr().unwrap().q().clone();
+            let qd = Matrix::from_fn(n, n, |r, c| q[(r, c)] * lam[c]);
+            let a = qd.matmul(&q.transpose()).unwrap().symmetrize().unwrap();
+            let e = a.symmetric_eigen().unwrap();
+
+            let scale = lam.iter().fold(0.0f64, |m, l| m.max(l.abs()));
+            let tol = 1e-14 * n as f64 * scale;
+            let mut want = lam.clone();
+            want.sort_by(f64::total_cmp);
+            for (i, (got, want)) in e.eigenvalues().iter().zip(&want).enumerate() {
+                assert!((got - want).abs() < tol, "n={n} λ{i}: {got} vs {want}");
+            }
+            for w in e.eigenvalues().windows(2) {
+                assert!(w[0] <= w[1], "n={n}: eigenvalues must be ascending");
+            }
+            assert!(
+                (&e.reconstruct() - &a).max_abs() < tol,
+                "n={n}: reconstruction"
+            );
+            let vtv = e
+                .eigenvectors()
+                .transpose()
+                .matmul(e.eigenvectors())
+                .unwrap();
+            assert!(
+                (&vtv - &Matrix::identity(n)).max_abs() < 1e-14 * n as f64,
+                "n={n}: VᵀV ≠ I"
+            );
         }
-        assert!((&blocked.reconstruct() - &a).max_abs() < 1e-9);
-        let vtv = blocked
-            .eigenvectors()
-            .transpose()
-            .matmul(blocked.eigenvectors())
-            .unwrap();
-        assert!((&vtv - &Matrix::identity(n)).max_abs() < 1e-9);
     }
 
     #[test]

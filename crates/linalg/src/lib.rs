@@ -14,10 +14,9 @@
 //!   test used by the convex solvers.
 //! * [`QrDecomposition`] — Householder QR and least-squares solves.
 //! * [`SymmetricEigen`] — eigendecomposition of symmetric matrices
-//!   (cyclic Jacobi below [`EIGH_CROSSOVER`], blocked tridiagonalization +
-//!   implicit QL above), the workhorse behind [`Matrix::psd_projection`]
-//!   (projection onto the positive semidefinite cone) needed by the SDP
-//!   solver.
+//!   (blocked tridiagonalization + implicit QL at every size), the
+//!   workhorse behind [`Matrix::psd_projection`] (projection onto the
+//!   positive semidefinite cone) needed by the SDP solver.
 //!
 //! # Example
 //!
@@ -46,7 +45,7 @@ mod qr;
 pub mod vector;
 
 pub use cholesky::{Cholesky, Ldlt};
-pub use eigen::{SymmetricEigen, EIGH_CROSSOVER};
+pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;

@@ -461,7 +461,7 @@ impl Matrix {
         QrDecomposition::new(self)
     }
 
-    /// Symmetric eigendecomposition via the cyclic Jacobi method.
+    /// Symmetric eigendecomposition via tridiagonalization + implicit QL.
     ///
     /// # Errors
     /// See [`SymmetricEigen::new`].

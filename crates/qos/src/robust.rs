@@ -15,7 +15,6 @@
 //! its worker pool like every other solver.
 
 use rcr_convex::qp::{QpProblem, QpSettings, QpSolution};
-use rcr_kernels::Scratch;
 use rcr_linalg::{Matrix, SymmetricEigen};
 
 use crate::rra::{repair_min_rates, RraProblem, RraSolution};
@@ -145,9 +144,7 @@ pub fn solve_robust(problem: &RraProblem) -> Result<RraSolution, QosError> {
     let rbs = problem.resource_blocks();
     let w = weights(problem);
     let gram_c = gram(&w, rbs);
-    // The blocked kernel at every size: `SymmetricEigen::new` switches to
-    // Jacobi below its crossover, which would change the margin's bits.
-    let eig = SymmetricEigen::new_blocked_with_scratch(&gram_c, &mut Scratch::new())
+    let eig = SymmetricEigen::new(&gram_c)
         .map_err(|e| QosError::Solver(format!("gram eigendecomposition: {e}")))?;
     let margin = margin_from_spectrum(eig.eigenvalues(), users);
     let qp = assemble_qp(&w, rbs, margin, &gram_c)?;

@@ -32,9 +32,6 @@ cargo build --release
 echo "== cargo test --workspace ==" >&2
 cargo test --workspace -q
 
-echo "== cargo test --test integration_serve (service loopback) ==" >&2
-cargo test -q --test integration_serve
-
 if [ "$quick" -eq 1 ]; then
   echo "verify.sh: quick gates passed (lint/fmt/clippy/benches skipped)" >&2
   exit 0

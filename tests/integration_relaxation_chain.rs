@@ -40,7 +40,7 @@ fn nonconvex_rank_objective_rejected_but_sdp_relaxation_succeeds() {
 #[test]
 fn sdp_certificate_matches_eigen_analysis() {
     // min ⟨C, X⟩, tr X = 1, X ⪰ 0 equals λ_min(C); cross-check the SDP
-    // against the Jacobi eigensolver on a 4x4 instance.
+    // against the eigensolver on a 4x4 instance.
     let c = Matrix::from_rows(&[
         &[2.0, 0.3, 0.0, 0.1],
         &[0.3, 1.5, 0.2, 0.0],
