@@ -1,4 +1,4 @@
-//! Regression benchmarks backing the committed `BENCH_8.json` baseline:
+//! Regression benchmarks backing the committed `BENCH_9.json` baseline:
 //! the blocked GEMM microkernel against the naive triple loop, the
 //! blocked factorization layer (Cholesky, the PSD projection's
 //! eigensolver, the batched small-matrix path) against its unblocked /
@@ -15,7 +15,7 @@
 //! cargo bench -p rcr-bench --bench bench_kernels --features alloc-count \
 //!     -- --save-json "$PWD/target/bench_current.json"
 //! cargo run -p rcr-bench --bin bench_gate -- \
-//!     target/bench_current.json BENCH_8.json
+//!     target/bench_current.json BENCH_9.json
 //! ```
 //!
 //! All inputs are fixed splitmix64 streams so wall times and (for the

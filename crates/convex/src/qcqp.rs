@@ -217,38 +217,6 @@ impl QcqpProblem {
         ineq.max(eq)
     }
 
-    /// Solves from a caller-supplied strictly feasible start.
-    ///
-    /// # Errors
-    /// * [`ConvexError::Infeasible`] when `x0` is not strictly feasible
-    ///   (every `f_i(x0) < 0` and `A x0 = b`).
-    /// * [`ConvexError::NonConvergence`] when Newton stalls.
-    pub fn solve_with_start(
-        &self,
-        x0: &[f64],
-        settings: &QcqpSettings,
-    ) -> Result<QcqpSolution, ConvexError> {
-        if x0.len() != self.num_vars() {
-            return Err(ConvexError::DimensionMismatch(format!(
-                "x0 has {} entries, expected {}",
-                x0.len(),
-                self.num_vars()
-            )));
-        }
-        let strict = self.constraints.iter().all(|c| c.eval(x0) < 0.0);
-        let eq_ok = match &self.equality {
-            Some((a, b)) => {
-                let ax = a.matvec(x0)?;
-                vector::norm_inf(&vector::sub(&ax, b)) < 1e-8
-            }
-            None => true,
-        };
-        if !strict || !eq_ok {
-            return Err(ConvexError::Infeasible);
-        }
-        self.barrier(x0.to_vec(), settings)
-    }
-
     /// Solves, manufacturing a strictly feasible start by the standard
     /// phase-I problem `min s  s.t. f_i(x) ≤ s, Ax = b`.
     ///
@@ -542,21 +510,6 @@ mod tests {
             prob.solve(&QcqpSettings::default()),
             Err(ConvexError::Infeasible)
         ));
-    }
-
-    #[test]
-    fn solve_with_start_requires_strict_feasibility() {
-        let obj = QuadraticForm::new(Matrix::identity(2), vec![0.0, 0.0], 0.0).unwrap();
-        let prob = QcqpProblem::new(obj, vec![ball_constraint(&[0.0, 0.0], 1.0)], None).unwrap();
-        // On the boundary: not strict.
-        assert!(matches!(
-            prob.solve_with_start(&[1.0, 0.0], &QcqpSettings::default()),
-            Err(ConvexError::Infeasible)
-        ));
-        // Strictly inside: fine.
-        assert!(prob
-            .solve_with_start(&[0.1, 0.1], &QcqpSettings::default())
-            .is_ok());
     }
 
     #[test]

@@ -210,24 +210,6 @@ impl QpProblem {
         self.solve_with(settings, None, None)
     }
 
-    /// Solves the QP by ADMM, seeding the iteration from `warm`.
-    ///
-    /// The result satisfies the same stopping tolerance as a cold
-    /// [`QpProblem::solve`]; only the iteration count (and which of the
-    /// tolerance-equivalent iterates is returned) changes.
-    ///
-    /// # Errors
-    /// Same as [`QpProblem::solve`], plus
-    /// [`ConvexError::DimensionMismatch`] / [`ConvexError::NotFinite`] for
-    /// a malformed seed.
-    pub fn solve_warm(
-        &self,
-        settings: &QpSettings,
-        warm: &QpWarmStart,
-    ) -> Result<QpSolution, ConvexError> {
-        self.solve_with(settings, Some(warm), None)
-    }
-
     /// Assembles the condensed KKT matrix `P + σI + ρAᵀA` without
     /// factorizing it — the matrix every solve factors once. Public so
     /// callers can inspect or time the KKT system on its own.
@@ -600,7 +582,7 @@ mod tests {
         for (i, v) in warm.y.iter_mut().enumerate() {
             *v += 1e-7 * ((i as f64) + 1.0).sin();
         }
-        let sol = prob.solve_warm(&settings, &warm).unwrap();
+        let sol = prob.solve_with(&settings, Some(&warm), None).unwrap();
         assert!(
             sol.iterations > 1 && sol.iterations < 11,
             "warm solve took {} iterations; the every-iteration early window \
@@ -644,7 +626,7 @@ mod tests {
             z: vec![0.0; 6],
         };
         assert!(matches!(
-            prob.solve_warm(&s, &bad_len),
+            prob.solve_with(&s, Some(&bad_len), None),
             Err(ConvexError::DimensionMismatch(_))
         ));
         let bad_nan = QpWarmStart {
@@ -653,7 +635,7 @@ mod tests {
             z: vec![0.0; 6],
         };
         assert!(matches!(
-            prob.solve_warm(&s, &bad_nan),
+            prob.solve_with(&s, Some(&bad_nan), None),
             Err(ConvexError::NotFinite)
         ));
     }
@@ -664,7 +646,7 @@ mod tests {
         let s = settings();
         let cold = prob.solve(&s).unwrap();
         let warm = QpWarmStart::from_solution(&prob, &cold).unwrap();
-        let sol = prob.solve_warm(&s, &warm).unwrap();
+        let sol = prob.solve_with(&s, Some(&warm), None).unwrap();
         assert!(sol.iterations <= cold.iterations);
         assert!((sol.objective - cold.objective).abs() < 1e-6);
     }

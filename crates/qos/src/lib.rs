@@ -15,8 +15,9 @@
 //!   distance-based path loss.
 //! * [`power`] — the continuous inner problem: weighted water-filling
 //!   power allocation with per-user minimum-rate constraints (dual
-//!   subgradient on the rate multipliers, bisection on the power
-//!   multiplier).
+//!   subgradient on the rate multipliers, an exact water level for the
+//!   power multiplier, and a certified early exit when the rates are
+//!   unreachable).
 //! * [`rra`] — the RRA MINLP: binary resource-block assignment × power
 //!   allocation, implementing [`rcr_minlp::RelaxableProblem`] for exact
 //!   branch-and-bound, plus a PSO metaheuristic adapter and a greedy

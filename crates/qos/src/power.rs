@@ -12,9 +12,11 @@
 //! with `a_k = g_{u(k),k} / N₀B` the normalized gain of RB `k`'s owner.
 //! Without rate constraints the solution is classical water-filling; the
 //! constrained version is solved by dual subgradient ascent on the rate
-//! multipliers μ with an inner bisection on the water level — each inner
-//! problem is *weighted* water-filling `p_k = (w_k/λ − 1/a_k)₊` with
-//! `w_k = 1 + μ_{u(k)}`.
+//! multipliers μ. Each inner problem is *weighted* water-filling
+//! `p_k = (w_k/λ − 1/a_k)₊` with `w_k = 1 + μ_{u(k)}`, whose water level
+//! `λ` is found exactly by active-set elimination. When the minimum rates
+//! provably cannot all be met within the budget, the ascent stops after
+//! its first (μ = 0) iterate, which is then the answer.
 
 use crate::QosError;
 
@@ -70,36 +72,136 @@ fn rate_bps(bandwidth: f64, a: f64, p: f64) -> f64 {
 }
 
 /// Weighted water-filling: maximize `Σ w_k log(1 + a_k p_k)` subject to
-/// `Σ p ≤ budget`, `p ≥ 0`, writing `p` into `powers`. Exact via
-/// geometric bisection on the water level `λ`, taking `1/a_k` precomputed.
+/// `Σ p ≤ budget`, `p ≥ 0`, writing `p` into `powers`, taking `1/a_k`
+/// precomputed.
 ///
-/// The bisection state is `(lo, hi)` alone, so a step that leaves both
-/// unchanged has reached a fixed point: every later step would repeat
-/// it. Stopping there returns the same bits as running all 200 steps.
+/// The solution is `p_k = w_k·(1/λ − f_k)₊` with floors `f_k = 1/(w_k a_k)`.
+/// The level is exact and measured from the lowest floor `c`: with
+/// `e_k = f_k − c ≥ 0` and active set `A`, the height `h = 1/λ − c` is
+/// `(budget + Σ_A w e) / Σ_A w`, and every active RB with `e_k ≥ h` is
+/// dropped until none is. Dropping an RB at or above the water can only
+/// lower `h`, so dropped RBs stay dropped and the loop ends within K
+/// passes; the lowest-floor RB (`e = 0`) is never dropped. Working in
+/// heights keeps low-SNR problems (`1/a_k` far above the budget) free of
+/// the cancellation in `w/λ − 1/a`. `powers` holds the active mask
+/// (`> 0` means active) until the final pass writes the powers.
 // rcr-lint: unit(budget = PowerLinear, reason = "water-filling works on linear inverse normalized gains and a watt budget, never dB")
 fn weighted_waterfill(inv_gains: &[f64], weights: &[f64], budget: f64, powers: &mut [f64]) {
-    let power = |inv_a: f64, w: f64, lambda: f64| ((w / lambda) - inv_a).max(0.0);
-    // λ ∈ (0, ∞): total power decreases in λ. Find λ with Σp = budget.
-    let mut lo = 1e-12f64;
-    let mut hi = 1e12;
-    for _ in 0..200 {
-        let mid = (lo * hi).sqrt(); // geometric bisection for scale-freeness
-        let total: f64 = inv_gains
-            .iter()
-            .zip(weights)
-            .map(|(&inv_a, &w)| power(inv_a, w, mid))
-            .sum();
-        let (next_lo, next_hi) = if total > budget { (mid, hi) } else { (lo, mid) };
-        if next_lo == lo && next_hi == hi {
+    let floor = |inv_a: f64, w: f64| inv_a / w;
+    let lowest = inv_gains
+        .iter()
+        .zip(weights)
+        .map(|(&inv_a, &w)| floor(inv_a, w))
+        .fold(f64::INFINITY, f64::min);
+    let excess = |inv_a: f64, w: f64| floor(inv_a, w) - lowest;
+    let (mut kept_w, mut kept_we) = (0.0, 0.0);
+    for (&inv_a, &w) in inv_gains.iter().zip(weights) {
+        kept_w += w;
+        kept_we += w * excess(inv_a, w);
+    }
+    powers.fill(1.0);
+    let mut height;
+    loop {
+        height = (budget + kept_we) / kept_w;
+        let mut dropped = false;
+        (kept_w, kept_we) = (0.0, 0.0);
+        for ((p, &inv_a), &w) in powers.iter_mut().zip(inv_gains).zip(weights) {
+            if *p == 0.0 {
+                continue;
+            }
+            let e = excess(inv_a, w);
+            if e >= height {
+                *p = 0.0;
+                dropped = true;
+            } else {
+                kept_w += w;
+                kept_we += w * e;
+            }
+        }
+        if !dropped {
             break;
         }
-        lo = next_lo;
-        hi = next_hi;
     }
-    let level = (lo * hi).sqrt();
     for ((p, &inv_a), &w) in powers.iter_mut().zip(inv_gains).zip(weights) {
-        *p = power(inv_a, w, level);
+        if *p > 0.0 {
+            *p = w * (height - excess(inv_a, w));
+        }
     }
+}
+
+/// True when no allocation within the budget can meet every minimum rate
+/// to `tolerance`, the slack the `feasible` flag allows.
+///
+/// Users own disjoint RBs, so the rates are jointly reachable exactly when
+/// the per-user least powers sum to at most the budget. User `u`'s least
+/// power for target `t` is inverse water-filling on its own RBs,
+/// `p_k = (ν − 1/a_k)₊` with `log2 ν = (t/B − Σ_A log2 a_k)/|A|`. As in
+/// [`weighted_waterfill`] the level is measured from the strongest RB:
+/// with `y_k = log2(a_max/a_k) ≥ 0`, `x = log2(ν a_max) = (t/B + Σ_A y)/|A|`
+/// and `p_k = (2^(x − y_k) − 1)/a_k`; RBs with `y_k ≥ x` are dropped until
+/// none is, which can only lower `x`. A user with a positive target and no
+/// RB needs infinite power. The `1e-9` relative margin keeps rounding from
+/// certifying a problem the flag could still call feasible. `mask` is
+/// scratch of one entry per RB.
+// rcr-lint: unit(tolerance = BitsPerSec, reason = "least powers in watts from Shannon rates over Hz-wide RBs")
+fn rates_unreachable(problem: &PowerProblem, tolerance: f64, mask: &mut [f64]) -> bool {
+    let mut needed = 0.0;
+    for (u, &min_rate) in problem.min_rates_bps.iter().enumerate() {
+        let target = min_rate - tolerance;
+        if !(target > 0.0) {
+            continue;
+        }
+        let Some(strongest) = problem
+            .owners
+            .iter()
+            .zip(&problem.gains)
+            .filter(|(&owner, _)| owner == u)
+            .map(|(_, &a)| a)
+            .reduce(f64::max)
+        else {
+            return true;
+        };
+        let spread = |a: f64| (strongest / a).log2();
+        let spectral = target / problem.rb_bandwidth_hz;
+        let (mut kept, mut kept_y) = (0usize, 0.0);
+        for ((m, &owner), &a) in mask.iter_mut().zip(&problem.owners).zip(&problem.gains) {
+            *m = 0.0;
+            if owner == u {
+                *m = 1.0;
+                kept += 1;
+                kept_y += spread(a);
+            }
+        }
+        let mut x;
+        loop {
+            x = (spectral + kept_y) / kept as f64;
+            let mut dropped = false;
+            (kept, kept_y) = (0, 0.0);
+            for (m, &a) in mask.iter_mut().zip(&problem.gains) {
+                if *m == 0.0 {
+                    continue;
+                }
+                let y = spread(a);
+                if y >= x {
+                    *m = 0.0;
+                    dropped = true;
+                } else {
+                    kept += 1;
+                    kept_y += y;
+                }
+            }
+            if !dropped {
+                break;
+            }
+        }
+        needed += mask
+            .iter()
+            .zip(&problem.gains)
+            .filter(|(&m, _)| m > 0.0)
+            .map(|(_, &a)| ((x - spread(a)) * std::f64::consts::LN_2).exp_m1() / a)
+            .sum::<f64>();
+    }
+    needed > problem.power_budget * (1.0 + 1e-9)
 }
 
 /// Solves the constrained power allocation.
@@ -122,12 +224,13 @@ fn weighted_waterfill(inv_gains: &[f64], weights: &[f64], budget: f64, powers: &
 /// ```
 ///
 /// Returns the best allocation found; `feasible` reports whether the
-/// minimum rates were met. When some user's minimum rate is unattainable
-/// even with the whole budget on its best RB, the result comes back
-/// infeasible rather than erroring.
+/// minimum rates were met. When the minimum rates cannot all be met
+/// within the budget, the result is the unconstrained water-filling
+/// allocation flagged infeasible rather than an error.
 ///
 /// # Errors
-/// Returns [`QosError::InvalidParameter`] for malformed problem data.
+/// Returns [`QosError::InvalidParameter`] for malformed problem data,
+/// including negative or non-finite minimum rates.
 pub fn solve_power(problem: &PowerProblem) -> Result<PowerSolution, QosError> {
     let k = problem.gains.len();
     if k == 0 || problem.owners.len() != k {
@@ -153,12 +256,22 @@ pub fn solve_power(problem: &PowerProblem) -> Result<PowerSolution, QosError> {
             "owner index out of range".into(),
         ));
     }
+    if problem
+        .min_rates_bps
+        .iter()
+        .any(|&r| !(r >= 0.0) || !r.is_finite())
+    {
+        return Err(QosError::InvalidParameter(
+            "minimum rates must be non-negative and finite".into(),
+        ));
+    }
 
     // Dual subgradient on μ ≥ 0 (one per user with a positive min rate).
     // Every buffer lives across iterations; only an improving candidate
     // is copied out into `best`.
     let bandwidth = problem.rb_bandwidth_hz;
     let scale = bandwidth.max(1.0);
+    let tolerance = 1e-6 * scale;
     let inv_gains: Vec<f64> = problem.gains.iter().map(|&a| 1.0 / a).collect();
     let mut mu = vec![0.0; users];
     let mut weights = vec![0.0; k];
@@ -185,7 +298,7 @@ pub fn solve_power(problem: &PowerProblem) -> Result<PowerSolution, QosError> {
         let feasible = rates
             .iter()
             .zip(&problem.min_rates_bps)
-            .all(|(r, m)| m - r <= 1e-6 * scale);
+            .all(|(r, m)| m - r <= tolerance);
         let total: f64 = rb_rates.iter().sum();
 
         let better = match &best {
@@ -204,6 +317,12 @@ pub fn solve_power(problem: &PowerProblem) -> Result<PowerSolution, QosError> {
         }
         if feasible && mu.iter().all(|&m| m == 0.0) {
             break; // unconstrained optimum already satisfies the rates
+        }
+        // Certified unreachable rates: every iterate is infeasible, so the
+        // μ = 0 iterate, which has the highest total, is the answer. It
+        // is already in `best`, which frees `powers` as scratch.
+        if it == 0 && rates_unreachable(problem, tolerance, &mut powers) {
+            break;
         }
         // Subgradient step on μ: grow where violated, shrink otherwise.
         let step = 2.0 / (1.0 + it as f64).sqrt();

@@ -203,7 +203,7 @@ mod tests {
         pin(
             problem(3, 8, 100, 5e4),
             &[0, 2, 2, 0, 2, 1, 0, 2],
-            0x4136_e526_c5fa_82f5,
+            0x4136_e526_c5fa_82f4,
         );
         pin(
             problem(4, 16, 42, 1e4),

@@ -26,9 +26,11 @@ const COMMITTED: &str = include_str!("../crates/scenarios/manifests/diurnal_stor
 /// A reuse-friendly scenario: long coherence blocks over a small
 /// population mean ~`population` distinct problems per fading epoch, so
 /// with the solution-reuse cache enabled most requests are cache hits
-/// and each epoch boundary injects a burst of real ~5 ms greedy solves —
-/// which is what lets a single-core CI box run honest 10⁵-request
-/// overload experiments while capacity stays solve-bound.
+/// and each epoch boundary injects a burst of real Greedy solves. A
+/// Greedy 3×6 solve costs only tens of µs optimized, so a test that
+/// needs the service solve-bound shortens the fading blocks (more
+/// boundaries, more cold solves) or grows the problems; that is what
+/// lets a small CI box run honest 10⁵-request overload experiments.
 fn cached_manifest(requests: u64, rate_per_sec: f64) -> ScenarioManifest {
     ScenarioManifest {
         name: "overload-shape".into(),
@@ -204,12 +206,14 @@ fn overload_sheds_mmtc_while_urllc_stays_flat() {
     // Fading-epoch redraws are what overload the service with *real*
     // solve work (cache hits alone are nearly as fast as the submit path,
     // so a one-core producer could never overpressure a fully warmed
-    // service). The epoch count scales with the build profile: a greedy
-    // solve costs ~5 ms optimized and ~40 ms unoptimized, and the product
-    // epochs × population × solve-time is what has to exceed the run's
-    // wall budget.
+    // service). The product epochs × population × solve-time is what has
+    // to exceed the run's wall budget, and a Greedy 3×6 solve is cheap
+    // (serve-cold's traced per-class p50 is 4–66 µs optimized on a
+    // 2-vCPU host), so the trace crosses many boundaries: 1024
+    // optimized, 64 unoptimized, where each solve costs more and the
+    // producer itself is slower.
     let debug = cfg!(debug_assertions);
-    let epochs = if debug { 8 } else { 32 };
+    let epochs = if debug { 64 } else { 1024 };
     let mut config = cached_config();
     // Trim batch sizes against head-of-line blocking: right after an
     // epoch boundary a whole batch can be cold solves, and a deep cold
@@ -449,6 +453,12 @@ fn lane_full_accounting_reconciles_under_sustained_overload() {
         mmtc: 0.9,
     };
     manifest.deadlines_us = [60_000_000, 60_000_000, 60_000_000];
+    // Every request a fresh 8-user × 32-RB channel: no reuse hits, so
+    // each admitted request costs a real solve and the firehose keeps the
+    // 64-deep lane full even though Greedy is cheap.
+    manifest.users_per_problem = 8;
+    manifest.resource_blocks = 32;
+    manifest.fading = FadingModel::BlockRayleigh { coherence_us: 1 };
     let mut config = cached_config();
     config.queue.mmtc = LanePolicy {
         capacity: 64,
