@@ -1,11 +1,12 @@
-//! Regression benchmarks backing the committed `BENCH_9.json` baseline:
+//! Regression benchmarks backing the committed `BENCH_10.json` baseline:
 //! the blocked GEMM microkernel against the naive triple loop, the
 //! blocked factorization layer (Cholesky, the PSD projection's
 //! eigensolver, the batched small-matrix path) against its unblocked /
-//! Jacobi ancestors, the scratch-pooled IBP/CROWN paths against their
-//! allocating ancestors, exact branch-and-bound verification,
-//! warm-started vs cold solves of a drifting QP, the QoS power
-//! allocation and Greedy solve, and service throughput.
+//! Jacobi ancestors, the trace-minimization SDP solve, the
+//! scratch-pooled IBP/CROWN paths against their allocating ancestors,
+//! exact branch-and-bound verification, warm-started vs cold solves of a
+//! drifting QP, the QoS power allocation and Greedy solve, and service
+//! throughput.
 //!
 //! Run with JSON output for the gate (pass an absolute path: cargo runs
 //! bench binaries with the package directory, not the workspace root, as
@@ -15,7 +16,7 @@
 //! cargo bench -p rcr-bench --bench bench_kernels --features alloc-count \
 //!     -- --save-json "$PWD/target/bench_current.json"
 //! cargo run -p rcr-bench --bin bench_gate -- \
-//!     target/bench_current.json BENCH_9.json
+//!     target/bench_current.json BENCH_10.json
 //! ```
 //!
 //! All inputs are fixed splitmix64 streams so wall times and (for the
@@ -23,6 +24,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rcr_convex::qp::{QpProblem, QpSettings};
+use rcr_convex::rankmin::{synth_low_rank_plus_diag, trace_min_decompose};
+use rcr_convex::sdp::SdpSettings;
 use rcr_convex::warm::WarmCache;
 use rcr_core::robust::{train_classifier, BlobData, RobustTrainConfig, TrainMode};
 use rcr_kernels::{gemm, gemm_naive, Scratch};
@@ -260,7 +263,9 @@ fn bench_cholesky(c: &mut Criterion) {
 /// [`Matrix::psd_projection`] runs — `SymmetricEigen::new`, the blocked
 /// tridiagonalization + implicit-QL kernel at every size. The baseline
 /// pins the end-to-end projection speedup this rewiring bought.
-fn bench_sdp_projection(c: &mut Criterion) {
+/// `tracemin` is a whole SDP solve, pinned by its p25 and allocation
+/// count.
+fn bench_sdp(c: &mut Criterion) {
     let mut group = c.benchmark_group("sdp");
     group.sample_size(20);
     let n = 64usize;
@@ -275,6 +280,21 @@ fn bench_sdp_projection(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("projection/blocked", n), &n, |be, _| {
         be.iter(|| black_box(&a).psd_projection().expect("projection")[(0, 0)])
+    });
+    // The whole trace-minimization SDP (Eq. 9/10) on a fixed rank-2
+    // n = 24 input: 276 two-nonzero constraints, so the sparse Gram
+    // build and X-update sit beside ~50 PSD projections.
+    let n = 24usize;
+    let v = Matrix::from_vec(n, 2, weights(n * 2, 0x8A)).expect("shape");
+    let d: Vec<f64> = (0..n).map(|i| 0.5 + 0.02 * i as f64).collect();
+    let r_s = synth_low_rank_plus_diag(&v, &d).expect("shape");
+    let settings = SdpSettings::default();
+    group.bench_with_input(BenchmarkId::new("tracemin", n), &n, |be, _| {
+        be.iter(|| {
+            trace_min_decompose(black_box(&r_s), &settings)
+                .expect("trace-min")
+                .trace
+        })
     });
     group.finish();
 }
@@ -572,7 +592,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_cholesky,
-    bench_sdp_projection,
+    bench_sdp,
     bench_eigh_batch,
     bench_ibp,
     bench_crown,

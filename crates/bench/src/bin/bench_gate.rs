@@ -10,7 +10,7 @@
 //! ```text
 //! cargo bench -p rcr-bench --bench bench_kernels --features alloc-count \
 //!     -- --smoke --save-json target/bench_current.json
-//! bench_gate target/bench_current.json BENCH_9.json
+//! bench_gate target/bench_current.json BENCH_10.json
 //! ```
 
 use rcr_bench::gate::{compare, machine_factor, BenchReport};

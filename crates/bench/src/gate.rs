@@ -1,5 +1,5 @@
 //! Benchmark regression gate: compares a fresh `--save-json` result file
-//! against a committed baseline (`BENCH_9.json`) and reports violations.
+//! against a committed baseline (`BENCH_10.json`) and reports violations.
 //!
 //! Wall-clock comparisons use each benchmark's *lower-quartile* sample
 //! (`p25_ns`, falling back to `min_ns` then `mean_ns` for older
@@ -306,7 +306,7 @@ pub fn compare(current: &BenchReport, baseline: &BenchReport, max_regression: f6
                     Some(cur_allocs) => failures.push(format!(
                         "alloc: {id} performs {cur_allocs} allocations per \
                          iteration, baseline pins {base_allocs} (update \
-                         BENCH_9.json if the change is intentional)"
+                         BENCH_10.json if the change is intentional)"
                     )),
                     None => failures.push(format!(
                         "alloc: {id} recorded no allocation count but the \

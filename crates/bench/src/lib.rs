@@ -4,7 +4,7 @@
 //! index (E1–E14), printing the rows the paper's evaluation would have
 //! tabulated. The `benches/` directory holds the matching Criterion
 //! performance benchmarks, and [`gate`] implements the JSON regression
-//! gate the `bench_gate` binary applies against `BENCH_9.json`.
+//! gate the `bench_gate` binary applies against `BENCH_10.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

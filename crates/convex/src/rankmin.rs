@@ -46,7 +46,8 @@ pub struct RankMinResult {
 /// Solves the Eq. 9/10 trace-minimization problem for a symmetric `r_s`.
 ///
 /// # Errors
-/// * [`ConvexError::DimensionMismatch`] for non-square input.
+/// * [`ConvexError::DimensionMismatch`] for non-square or empty (0×0)
+///   input.
 /// * [`ConvexError::NotFinite`] for NaN/inf entries.
 /// * Propagates SDP solver errors ([`ConvexError::NonConvergence`] when no
 ///   PSD completion exists, e.g. heavily corrupted off-diagonals).
@@ -54,7 +55,7 @@ pub fn trace_min_decompose(
     r_s: &Matrix,
     settings: &SdpSettings,
 ) -> Result<RankMinResult, ConvexError> {
-    if !r_s.is_square() {
+    if !r_s.is_square() || r_s.rows() == 0 {
         return Err(ConvexError::DimensionMismatch(format!(
             "R_s is {:?}",
             r_s.shape()
@@ -214,5 +215,13 @@ mod tests {
         assert!(trace_min_decompose(&m, &settings()).is_err());
         let v = Matrix::zeros(3, 1);
         assert!(synth_low_rank_plus_diag(&v, &[1.0, 2.0]).is_err());
+    }
+
+    #[test]
+    fn empty_input_is_a_dimension_error() {
+        assert!(matches!(
+            trace_min_decompose(&Matrix::zeros(0, 0), &settings()),
+            Err(ConvexError::DimensionMismatch(_))
+        ));
     }
 }

@@ -19,10 +19,25 @@
 //! This is a scaled-down cousin of SCS/SDPT3, adequate for the ≤ ~60×60
 //! cones the experiments need.
 //!
-//! The per-iteration cost is dominated by the Z-update's
-//! eigendecomposition: the blocked tridiagonalization + implicit-QL
-//! kernel behind [`rcr_linalg::SymmetricEigen`], one eigensolver at every
-//! cone size.
+//! Each `A_i` is held as its nonzeros (row-major flat index, value), so
+//! with `nnz` the total nonzero count and `m` the constraint count:
+//!
+//! * set-up is O(m²·nnz) for the Gram `G_ij = ⟨A_i, A_j⟩` (a sorted
+//!   merge of two nonzero lists per entry) plus one m×m Cholesky factor;
+//! * an iteration is O(nnz + m²) for the X-update (gather `A(M) − b`,
+//!   two triangular solves, scatter `M − Σ wᵢAᵢ`) plus the Z-update's
+//!   O(n³) eigendecomposition: the blocked tridiagonalization +
+//!   implicit-QL kernel behind [`rcr_linalg::SymmetricEigen`], one
+//!   eigensolver at every cone size.
+//!
+//! The trace-minimization SDP of [`crate::rankmin`] has two nonzeros per
+//! constraint, so its gather and scatter cost O(m), not O(m·n²).
+//!
+//! The gather and scatter are the sequential `-0.0`-seeded add chains of
+//! `rcr_kernels::dot`/`axpy` with the exact-zero `0·x` terms left out,
+//! which leaves every nonzero partial sum, and so every answer bit of
+//! the dense formulation, unchanged (`tests/sdp_sparse_oracle.rs` keeps
+//! the dense reference and pins this).
 
 use crate::ConvexError;
 use rcr_linalg::{Cholesky, Matrix};
@@ -68,12 +83,70 @@ pub struct SdpSolution {
 #[derive(Debug, Clone)]
 pub struct SdpProblem {
     c: Matrix,
-    constraints: Vec<(Matrix, f64)>,
+    constraints: Vec<SparseConstraint>,
     n: usize,
+}
+
+/// One equality `⟨A, X⟩ = b` with `A` held as its nonzeros.
+#[derive(Debug, Clone)]
+struct SparseConstraint {
+    /// `(k, a_k)` for every entry with `a_k ≠ 0`, `k = row·n + col`
+    /// ascending (row-major, the layout of [`Matrix::as_slice`]).
+    entries: Vec<(usize, f64)>,
+    rhs: f64,
+}
+
+impl SparseConstraint {
+    fn from_dense(a: &Matrix, rhs: f64) -> Self {
+        let entries = a
+            .as_slice()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0.0)
+            .map(|(k, &v)| (k, v))
+            .collect();
+        SparseConstraint { entries, rhs }
+    }
+
+    /// `⟨A, X⟩` for a row-major `X`: a gather over the nonzeros.
+    fn inner(&self, x: &[f64]) -> f64 {
+        let mut s = -0.0;
+        for &(k, a) in &self.entries {
+            s += a * x.get(k).copied().unwrap_or(f64::NAN);
+        }
+        s
+    }
+
+    /// `⟨A, B⟩` by a sorted merge of the two nonzero lists.
+    fn inner_sparse(&self, other: &SparseConstraint) -> f64 {
+        let mut s = -0.0;
+        let mut rest = other.entries.iter().peekable();
+        for &(k, a) in &self.entries {
+            while rest.next_if(|&&(kb, _)| kb < k).is_some() {}
+            if let Some(&(_, b)) = rest.next_if(|&&(kb, _)| kb == k) {
+                s += a * b;
+            }
+        }
+        s
+    }
+
+    /// `y += alpha·A` for a row-major `y`: a scatter over the nonzeros.
+    fn axpy(&self, alpha: f64, y: &mut [f64]) {
+        for &(k, a) in &self.entries {
+            if let Some(yk) = y.get_mut(k) {
+                *yk += alpha * a;
+            }
+        }
+    }
 }
 
 impl SdpProblem {
     /// Builds a problem over `n x n` symmetric matrices.
+    ///
+    /// Each `A_i` is converted once into its nonzero (row-major flat
+    /// index, value) pairs, skipping `±0.0` entries, and the dense copy
+    /// is dropped: the solver's Gram build, X-update and
+    /// [`SdpProblem::constraint_residual`] touch only those nonzeros.
     ///
     /// # Errors
     /// * [`ConvexError::DimensionMismatch`] when `C` or some `A_i` is not
@@ -101,6 +174,10 @@ impl SdpProblem {
                 return Err(ConvexError::NotFinite);
             }
         }
+        let constraints = constraints
+            .iter()
+            .map(|(a, b)| SparseConstraint::from_dense(a, *b))
+            .collect();
         Ok(SdpProblem { c, constraints, n })
     }
 
@@ -114,11 +191,15 @@ impl SdpProblem {
         self.constraints.len()
     }
 
-    /// Constraint residual `max_i |⟨A_i, X⟩ − b_i|`.
+    /// Constraint residual `max_i |⟨A_i, X⟩ − b_i|`; NaN when `X` is not
+    /// `n x n`.
     pub fn constraint_residual(&self, x: &Matrix) -> f64 {
+        if x.shape() != (self.n, self.n) {
+            return f64::NAN;
+        }
         self.constraints
             .iter()
-            .map(|(a, b)| (a.inner(x).unwrap_or(f64::NAN) - b).abs())
+            .map(|con| (con.inner(x.as_slice()) - con.rhs).abs())
             .fold(0.0, f64::max)
     }
 
@@ -143,12 +224,16 @@ impl SdpProblem {
         let chol = if m == 0 {
             None
         } else {
-            let gram = Matrix::from_fn(m, m, |i, j| {
-                self.constraints[i]
-                    .0
-                    .inner(&self.constraints[j].0)
-                    .unwrap_or(f64::NAN)
-            });
+            let mut gram = Matrix::zeros(m, m);
+            for (row, ci) in gram
+                .as_mut_slice()
+                .chunks_exact_mut(m)
+                .zip(&self.constraints)
+            {
+                for (g, cj) in row.iter_mut().zip(&self.constraints) {
+                    *g = ci.inner_sparse(cj);
+                }
+            }
             Some(Cholesky::new(&gram).map_err(|_| ConvexError::Infeasible)?)
         };
 
@@ -160,14 +245,13 @@ impl SdpProblem {
             let resid: Vec<f64> = self
                 .constraints
                 .iter()
-                .map(|(a, b)| a.inner(mat).map(|v| v - b))
-                .collect::<Result<_, _>>()?;
+                .map(|con| con.inner(mat.as_slice()) - con.rhs)
+                .collect();
             let w = chol.solve(&resid)?;
             let mut out = mat.clone();
-            for ((a, _), wi) in self.constraints.iter().zip(&w) {
-                // In-place axpy replaces the historical `out - a·wᵢ`
-                // temporaries; x + (-w)·a and x - w·a are bitwise equal.
-                rcr_kernels::axpy(-wi, a.as_slice(), out.as_mut_slice());
+            for (con, wi) in self.constraints.iter().zip(&w) {
+                // x + (-w)·a and x - w·a are bitwise equal.
+                con.axpy(-wi, out.as_mut_slice());
             }
             Ok(out)
         };
@@ -298,5 +382,51 @@ mod tests {
             ..Default::default()
         };
         assert!(prob.solve(&s).is_err());
+    }
+
+    #[test]
+    fn full_support_gather_merge_and_scatter_are_the_dense_kernels() {
+        // With no zero entries to skip, the sparse chains are exactly
+        // `rcr_kernels::dot`/`axpy`, down to the `-0.0` seed that an
+        // all-zero sum keeps.
+        let a = Matrix::from_rows(&[&[1.5, 0.25], &[0.25, 2.0]]).unwrap();
+        let b = Matrix::from_rows(&[&[0.5, 3.0], &[3.0, -1.0]]).unwrap();
+        let (ca, cb) = (
+            SparseConstraint::from_dense(&a, 0.0),
+            SparseConstraint::from_dense(&b, 0.0),
+        );
+        let neg_zero = [-0.0; 4];
+        for x in [b.as_slice(), &neg_zero[..]] {
+            let dense = rcr_kernels::dot(a.as_slice(), x);
+            assert_eq!(ca.inner(x).to_bits(), dense.to_bits());
+        }
+        let dense = rcr_kernels::dot(a.as_slice(), b.as_slice());
+        assert_eq!(ca.inner_sparse(&cb).to_bits(), dense.to_bits());
+        assert_eq!(cb.inner_sparse(&ca).to_bits(), dense.to_bits());
+        // Products that underflow to -0.0 keep the merge's seed too.
+        let tiny = SparseConstraint::from_dense(&Matrix::filled(2, 2, 1e-200), 0.0);
+        let neg_tiny = SparseConstraint::from_dense(&Matrix::filled(2, 2, -1e-200), 0.0);
+        assert_eq!(tiny.inner_sparse(&neg_tiny).to_bits(), (-0.0f64).to_bits());
+        let (mut sparse_y, mut dense_y) = (neg_zero, neg_zero);
+        ca.axpy(-0.75, &mut sparse_y);
+        rcr_kernels::axpy(-0.75, a.as_slice(), &mut dense_y);
+        assert_eq!(sparse_y.map(f64::to_bits), dense_y.map(f64::to_bits));
+    }
+
+    #[test]
+    fn zero_entries_are_not_stored() {
+        let mut a = Matrix::zeros(3, 3);
+        a[(0, 2)] = 1.0;
+        a[(2, 0)] = -0.0;
+        a[(1, 1)] = -2.0;
+        let con = SparseConstraint::from_dense(&a, 1.0);
+        assert_eq!(con.entries, vec![(2, 1.0), (4, -2.0)]);
+    }
+
+    #[test]
+    fn constraint_residual_of_a_wrong_shape_is_nan() {
+        let prob = SdpProblem::new(Matrix::identity(2), vec![(Matrix::identity(2), 1.0)]).unwrap();
+        assert!(prob.constraint_residual(&Matrix::identity(3)).is_nan());
+        assert_eq!(prob.constraint_residual(&Matrix::identity(2)), 1.0);
     }
 }

@@ -3,7 +3,7 @@
 # Usage: scripts/verify.sh [--quick] [--bench-smoke] [--scenario-smoke]
 #   --quick        build + tests only (skips rcr-lint, fmt, clippy, and bench compilation)
 #   --bench-smoke  also run the benchmark suite in smoke mode and diff the
-#                  results against the committed BENCH_9.json baseline
+#                  results against the committed BENCH_10.json baseline
 #                  (wall-time regressions beyond 25% of the host factor,
 #                  allocation-count drift, and the pinned blocked-GEMM
 #                  speedup / scratch-path allocation reductions all fail)
@@ -64,7 +64,7 @@ echo "== cargo clippy (warnings are errors) ==" >&2
 cargo clippy --workspace --all-targets --benches -- -D warnings
 
 if [ "$bench_smoke" -eq 1 ]; then
-  echo "== bench smoke + regression gate (vs BENCH_9.json) ==" >&2
+  echo "== bench smoke + regression gate (vs BENCH_10.json) ==" >&2
   # Cargo runs bench binaries with the package directory as CWD, so the
   # JSON path must be absolute to land in the workspace target/.
   bench_json="$(pwd)/target/bench_current.json"
@@ -75,7 +75,7 @@ if [ "$bench_smoke" -eq 1 ]; then
   for attempt in 1 2; do
     cargo bench -p rcr-bench --bench bench_kernels --features alloc-count -- \
       --smoke --save-json "$bench_json"
-    if cargo run -q -p rcr-bench --bin bench_gate -- "$bench_json" BENCH_9.json; then
+    if cargo run -q -p rcr-bench --bin bench_gate -- "$bench_json" BENCH_10.json; then
       gate_ok=1
       break
     fi
