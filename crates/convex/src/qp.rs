@@ -11,11 +11,28 @@
 //! constraints use ±[`QP_INF`]. The splitting, residuals and stopping rule
 //! follow the OSQP paper (Stellato et al.), scaled down: the KKT matrix is
 //! factorized once by Cholesky and reused every iteration.
+//!
+//! `A` is held as its nonzeros, row by row, so with `nnz = nnz(A)`:
+//!
+//! * a factorization is O(n·nnz) for `AᵀA` (one outer product per row)
+//!   plus the n×n Cholesky factor, once per factor — the warm cache
+//!   reuses it while `(P, A, ρ, σ)` stay bit-identical;
+//! * an iteration is one n² triangular-solve pair plus O(nnz + n + m) for
+//!   `Aᵀ(ρz − y)`, `A·x` and the vector updates;
+//! * a residual check adds the dense `P·x` (n²) and an O(nnz) `Aᵀy`.
+//!
+//! The products are the add chains of `rcr_kernels::gemv` (gather, seeded
+//! with `-0.0`, columns in order) and `gemv_t` (scatter into `+0.0`, rows
+//! in order, `w_r == 0` skipped) with the exact-zero `0·x` terms left
+//! out, which changes no nonzero partial sum and so no answer bit of the
+//! dense formulation (`tests/qp_sparse_oracle.rs` keeps the dense
+//! reference and pins this).
 
 use crate::ConvexError;
-use rcr_linalg::{vector, Cholesky, Matrix};
+use rcr_linalg::{vector, Cholesky, LinalgError, Matrix};
 
-/// The "infinity" bound understood by the QP solver.
+/// The "infinity" bound understood by the QP solver, for `l` and `u`
+/// only: `q`, `P` and `A` must be finite.
 pub const QP_INF: f64 = 1e30;
 
 /// Convergence is checked every iteration this early in the run, because
@@ -44,13 +61,23 @@ impl QpWarmStart {
     /// Builds a warm start from a previous [`QpSolution`] of a problem
     /// with the same shape, reconstructing `z` as the projection of the
     /// cached `A x` onto the new bounds.
+    ///
+    /// # Errors
+    /// [`ConvexError::Linalg`] when `sol.x` does not have one entry per
+    /// variable of `problem`.
     pub fn from_solution(problem: &QpProblem, sol: &QpSolution) -> Result<Self, ConvexError> {
-        let ax = problem.a.matvec(&sol.x)?;
-        let z = ax
-            .iter()
-            .zip(problem.l.iter().zip(&problem.u))
-            .map(|(v, (lo, hi))| v.clamp(*lo, *hi))
-            .collect();
+        let (m, n) = (problem.num_constraints(), problem.num_vars());
+        if sol.x.len() != n {
+            return Err(ConvexError::Linalg(LinalgError::DimensionMismatch {
+                op: "matvec",
+                got: vec![m, n, sol.x.len()],
+            }));
+        }
+        let mut z = vec![0.0; m];
+        problem.a.gather(&sol.x, &mut z);
+        for (zi, (lo, hi)) in z.iter_mut().zip(problem.l.iter().zip(&problem.u)) {
+            *zi = zi.clamp(*lo, *hi);
+        }
         Ok(QpWarmStart {
             x: sol.x.clone(),
             y: sol.y.clone(),
@@ -111,19 +138,126 @@ pub struct QpSolution {
 pub struct QpProblem {
     p: Matrix,
     q: Vec<f64>,
-    a: Matrix,
+    a: SparseRows,
     l: Vec<f64>,
     u: Vec<f64>,
+}
+
+/// The constraint matrix `A` held as its nonzeros, row by row.
+#[derive(Debug, Clone)]
+pub(crate) struct SparseRows {
+    cols: usize,
+    /// One past each row's last entry in `entries`.
+    row_end: Vec<usize>,
+    /// `(column, a_rc)` for every `a_rc ≠ 0`: rows in order, columns
+    /// ascending within a row.
+    entries: Vec<(usize, f64)>,
+}
+
+impl SparseRows {
+    /// Keeps the entries of `a` that are not `±0.0`.
+    fn from_dense(a: &Matrix) -> Self {
+        let cols = a.cols();
+        let data = a.as_slice();
+        let mut row_end = Vec::with_capacity(a.rows());
+        let mut entries = Vec::new();
+        for r in 0..a.rows() {
+            let row = data.get(r * cols..(r + 1) * cols).unwrap_or(&[]);
+            entries.extend(
+                row.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0.0)
+                    .map(|(c, &v)| (c, v)),
+            );
+            row_end.push(entries.len());
+        }
+        SparseRows {
+            cols,
+            row_end,
+            entries,
+        }
+    }
+
+    /// Number of rows `m`.
+    pub(crate) fn rows(&self) -> usize {
+        self.row_end.len()
+    }
+
+    /// Number of columns `n`.
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Each row's `(column, value)` nonzeros, rows in order.
+    pub(crate) fn row_entries(&self) -> impl Iterator<Item = &[(usize, f64)]> + '_ {
+        let mut start = 0;
+        self.row_end.iter().map(move |&end| {
+            let row = self.entries.get(start..end).unwrap_or(&[]);
+            start = end;
+            row
+        })
+    }
+
+    /// `out = A·x`: per row a `-0.0`-seeded chain over its nonzeros in
+    /// column order (`rcr_kernels::gemv` without the `0·x_c` terms).
+    fn gather(&self, x: &[f64], out: &mut [f64]) {
+        for (o, row) in out.iter_mut().zip(self.row_entries()) {
+            let mut s = -0.0;
+            for &(c, a) in row {
+                s += a * x.get(c).copied().unwrap_or(f64::NAN);
+            }
+            *o = s;
+        }
+    }
+
+    /// `out = Aᵀw`: from `+0.0`, row by row with `w_r == 0` skipped
+    /// (`rcr_kernels::gemv_t` without the `w_r·0` terms).
+    fn scatter(&self, w: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        for (&wr, row) in w.iter().zip(self.row_entries()) {
+            if wr == 0.0 {
+                continue;
+            }
+            for &(c, a) in row {
+                if let Some(o) = out.get_mut(c) {
+                    *o += wr * a;
+                }
+            }
+        }
+    }
+}
+
+/// One side of the stopping test in one pass over `(r_i, s_i, t_i)`:
+/// `‖r‖∞`, NaN when some `r_i` is NaN (a plain `f64::max` fold would drop
+/// it and read the residual as small), and `max(‖s‖∞, ‖t‖∞)`, the scale of
+/// the relative tolerance. Each max is exact, so fusing the folds leaves
+/// every bit of the separate [`vector::norm_inf`] passes.
+fn residual_and_scale(rows: impl IntoIterator<Item = (f64, f64, f64)>) -> (f64, f64) {
+    let (mut res, mut s_norm, mut t_norm, mut nan) = (0.0f64, 0.0f64, 0.0f64, false);
+    for (r, s, t) in rows {
+        nan |= r.is_nan();
+        res = res.max(r.abs());
+        s_norm = s_norm.max(s.abs());
+        t_norm = t_norm.max(t.abs());
+    }
+    (if nan { f64::NAN } else { res }, s_norm.max(t_norm))
 }
 
 impl QpProblem {
     /// Builds a problem, validating shapes, bound ordering and symmetry of
     /// `P` (PSD-ness is certified later, cheaply, by the KKT Cholesky).
     ///
+    /// `A` is converted once into its nonzeros, skipping `±0.0` entries,
+    /// and the dense copy is dropped: the products of every iteration,
+    /// the KKT assembly and the warm-start fingerprint touch only those.
+    ///
     /// # Errors
     /// * [`ConvexError::DimensionMismatch`] on inconsistent sizes.
+    /// * [`ConvexError::NotFinite`] for a NaN or infinite entry of `P`,
+    ///   `q` or `A`, or a NaN bound (infinite bounds are fine).
     /// * [`ConvexError::InvalidParameter`] when some `l_i > u_i`.
-    /// * [`ConvexError::NotFinite`] for NaN entries (±[`QP_INF`] is fine).
+    /// * [`ConvexError::Infeasible`] when some `l_i = +∞` or `u_i = −∞`:
+    ///   no finite `A x` meets that row.
     /// * [`ConvexError::NotConvex`] when `P` is visibly asymmetric.
     pub fn new(
         p: Matrix,
@@ -152,7 +286,7 @@ impl QpProblem {
                 u.len()
             )));
         }
-        if !p.is_finite() || !a.is_finite() || q.iter().any(|v| v.is_nan()) {
+        if !p.is_finite() || !a.is_finite() || !q.iter().all(|v| v.is_finite()) {
             return Err(ConvexError::NotFinite);
         }
         if l.iter().any(|v| v.is_nan()) || u.iter().any(|v| v.is_nan()) {
@@ -161,9 +295,16 @@ impl QpProblem {
         if l.iter().zip(&u).any(|(lo, hi)| lo > hi) {
             return Err(ConvexError::InvalidParameter("some l_i > u_i".into()));
         }
+        if l.iter()
+            .zip(&u)
+            .any(|(&lo, &hi)| lo == f64::INFINITY || hi == f64::NEG_INFINITY)
+        {
+            return Err(ConvexError::Infeasible);
+        }
         if !p.is_symmetric(1e-8 * p.max_abs().max(1.0)) {
             return Err(ConvexError::NotConvex("P must be symmetric".into()));
         }
+        let a = SparseRows::from_dense(&a);
         Ok(QpProblem { p, q, a, l, u })
     }
 
@@ -180,7 +321,7 @@ impl QpProblem {
     pub(crate) fn q(&self) -> &[f64] {
         &self.q
     }
-    pub(crate) fn a(&self) -> &Matrix {
+    pub(crate) fn a(&self) -> &SparseRows {
         &self.a
     }
     pub(crate) fn l(&self) -> &[f64] {
@@ -205,7 +346,9 @@ impl QpProblem {
     /// # Errors
     /// * [`ConvexError::NotConvex`] when the regularized KKT matrix is not
     ///   positive definite (indefinite `P`).
-    /// * [`ConvexError::NonConvergence`] when the iteration budget runs out.
+    /// * [`ConvexError::NonConvergence`] when the iteration budget runs
+    ///   out, or at once, with a NaN `residual`, when an iterate or a
+    ///   residual turns NaN or infinite (overflowing data).
     pub fn solve(&self, settings: &QpSettings) -> Result<QpSolution, ConvexError> {
         self.solve_with(settings, None, None)
     }
@@ -214,15 +357,34 @@ impl QpProblem {
     /// factorizing it — the matrix every solve factors once. Public so
     /// callers can inspect or time the KKT system on its own.
     ///
+    /// `AᵀA` is summed from the outer products of `A`'s sparse rows, in
+    /// row order from `+0.0`: bit for bit the chains of the dense
+    /// `Aᵀ·A` product (`rcr_kernels::gemm` skips the same zero factors).
+    ///
     /// # Errors
-    /// [`ConvexError::DimensionMismatch`] if `AᵀA` cannot be formed (not
-    /// reachable for a validated problem).
+    /// None for a problem built by [`QpProblem::new`].
     pub fn kkt_matrix(&self, rho: f64, sigma: f64) -> Result<Matrix, ConvexError> {
         let n = self.num_vars();
-        let ata = self.a.transpose().matmul(&self.a)?;
-        let mut kkt = &self.p + &(&ata * rho);
-        for i in 0..n {
-            kkt[(i, i)] += sigma;
+        let mut ata = Matrix::zeros(n, n);
+        let gram = ata.as_mut_slice();
+        for row in self.a.row_entries() {
+            for &(i, ai) in row {
+                let Some(dst) = gram.get_mut(i * n..(i + 1) * n) else {
+                    continue;
+                };
+                for &(j, aj) in row {
+                    if let Some(o) = dst.get_mut(j) {
+                        *o += ai * aj;
+                    }
+                }
+            }
+        }
+        let mut kkt = self.p.clone();
+        for (k, &g) in kkt.as_mut_slice().iter_mut().zip(ata.as_slice()) {
+            *k += g * rho;
+        }
+        for d in kkt.as_mut_slice().iter_mut().step_by(n + 1) {
+            *d += sigma;
         }
         Ok(kkt)
     }
@@ -302,33 +464,34 @@ impl QpProblem {
         let mut z_new = vec![0.0; m];
         let mut px = vec![0.0; n];
         let mut aty = vec![0.0; n];
-        let mut d = vec![0.0; n];
 
+        let q_norm = vector::norm_inf(&self.q);
         let mut primal_res = f64::INFINITY;
         let mut dual_res = f64::INFINITY;
         for iter in 0..settings.max_iter {
             // x-update: solve (P+σI+ρAᵀA)x = σx - q + Aᵀ(ρz - y).
-            for i in 0..n {
-                rhs[i] = sigma * x[i] - self.q[i];
+            for ((wi, &zi), &yi) in w.iter_mut().zip(&z).zip(&y) {
+                *wi = rho * zi - yi;
             }
-            for i in 0..m {
-                w[i] = rho * z[i] - y[i];
-            }
-            self.a.matvec_t_into(&w, &mut atw)?;
-            for i in 0..n {
-                rhs[i] += atw[i];
+            self.a.scatter(&w, &mut atw);
+            for (((r, &xi), &qi), &ai) in rhs.iter_mut().zip(&x).zip(&self.q).zip(&atw) {
+                *r = sigma * xi - qi + ai;
             }
             chol.solve_into(&rhs, &mut chol_work, &mut x_new)?;
 
-            // Over-relaxed z-update with projection onto [l, u].
-            self.a.matvec_into(&x_new, &mut ax)?;
-            for i in 0..m {
-                let v = alpha * ax[i] + (1.0 - alpha) * z[i] + y[i] / rho;
-                z_new[i] = v.clamp(self.l[i], self.u[i]);
-            }
-            // Dual update.
-            for i in 0..m {
-                y[i] += rho * (alpha * ax[i] + (1.0 - alpha) * z[i] - z_new[i]);
+            // Over-relaxed z-update with projection onto [l, u], then the
+            // dual update from the same relaxed point.
+            self.a.gather(&x_new, &mut ax);
+            for ((((zn, yi), &axi), &zi), (&lo, &hi)) in z_new
+                .iter_mut()
+                .zip(y.iter_mut())
+                .zip(&ax)
+                .zip(&z)
+                .zip(self.l.iter().zip(&self.u))
+            {
+                let relaxed = alpha * axi + (1.0 - alpha) * zi;
+                *zn = (relaxed + *yi / rho).clamp(lo, hi);
+                *yi += rho * (relaxed - *zn);
             }
             std::mem::swap(&mut x, &mut x_new);
             std::mem::swap(&mut z, &mut z_new);
@@ -340,20 +503,29 @@ impl QpProblem {
             // still holds A·x for the just-accepted iterate, so it is not
             // recomputed.
             if iter < EARLY_CHECK_WINDOW || iter % 10 == 0 || iter + 1 == settings.max_iter {
-                primal_res = rcr_kernels::norm_inf_diff(&ax, &z);
+                let pri_scale;
+                (primal_res, pri_scale) =
+                    residual_and_scale(ax.iter().zip(&z).map(|(&a, &zi)| (a - zi, a, zi)));
                 self.p.matvec_into(&x, &mut px)?;
-                self.a.matvec_t_into(&y, &mut aty)?;
-                for i in 0..n {
-                    d[i] = px[i] + self.q[i] + aty[i];
+                self.a.scatter(&y, &mut aty);
+                let dua_scale;
+                (dual_res, dua_scale) = residual_and_scale(
+                    px.iter()
+                        .zip(&self.q)
+                        .zip(&aty)
+                        .map(|((&pi, &qi), &ai)| (pi + qi + ai, pi, ai)),
+                );
+                // A NaN or infinity never recovers: stop rather than let it
+                // pass the tolerance test or run out the budget.
+                let finite = |v: &[f64]| v.iter().all(|t| t.is_finite());
+                if !(primal_res.is_finite() && dual_res.is_finite() && finite(&x) && finite(&y)) {
+                    return Err(ConvexError::NonConvergence {
+                        iterations: iter + 1,
+                        residual: f64::NAN,
+                    });
                 }
-                dual_res = vector::norm_inf(&d);
-                let eps_pri = settings.eps_abs
-                    + settings.eps_rel * vector::norm_inf(&ax).max(vector::norm_inf(&z));
-                let eps_dua = settings.eps_abs
-                    + settings.eps_rel
-                        * vector::norm_inf(&px)
-                            .max(vector::norm_inf(&aty))
-                            .max(vector::norm_inf(&self.q));
+                let eps_pri = settings.eps_abs + settings.eps_rel * pri_scale;
+                let eps_dua = settings.eps_abs + settings.eps_rel * dua_scale.max(q_norm);
                 if primal_res <= eps_pri && dual_res <= eps_dua {
                     return Ok(QpSolution {
                         objective: self.objective(&x),
@@ -391,6 +563,49 @@ pub fn solve_box_qp(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn full_support_gather_and_scatter_equal_the_dense_kernels() {
+        // With no zero entry to leave out, the sparse products must be the
+        // dense kernels' chains exactly, down to the sign of a zero sum.
+        // Row 0 is all positive, so at x = -0.0 its every product is -0.0
+        // and only a `-0.0` seed keeps the sum's sign.
+        let (m, n) = (5, 7);
+        let a = Matrix::from_fn(m, n, |i, j| {
+            let v = ((i * 7 + j * 3) % 11) as f64 / 4.0 - 1.3;
+            if i == 0 {
+                v.abs() + 0.25
+            } else if v == 0.0 {
+                0.5
+            } else {
+                v
+            }
+        });
+        let sparse = SparseRows::from_dense(&a);
+        let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        let x_cases = [
+            (0..n).map(|j| (j as f64 * 0.7).sin()).collect::<Vec<_>>(),
+            vec![-0.0; n],
+            vec![0.0; n],
+        ];
+        for x in &x_cases {
+            let (mut dense, mut got) = (vec![7.0; m], vec![7.0; m]);
+            rcr_kernels::gemv(m, n, a.as_slice(), x, &mut dense);
+            sparse.gather(x, &mut got);
+            assert_eq!(bits(&got), bits(&dense), "gather of {x:?}");
+        }
+        let w_cases = [
+            (0..m).map(|i| (i as f64 * 1.1).cos()).collect::<Vec<_>>(),
+            vec![0.0, -0.0, 1.5, 0.0, -2.0],
+            vec![-0.0; m],
+        ];
+        for w in &w_cases {
+            let (mut dense, mut got) = (vec![7.0; n], vec![7.0; n]);
+            rcr_kernels::gemv_t(m, n, a.as_slice(), w, &mut dense);
+            sparse.scatter(w, &mut got);
+            assert_eq!(bits(&got), bits(&dense), "scatter of {w:?}");
+        }
+    }
 
     fn settings() -> QpSettings {
         QpSettings::default()
@@ -512,6 +727,102 @@ mod tests {
         // asymmetric P
         let bad = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 1.0]]).unwrap();
         assert!(QpProblem::new(bad, vec![0.0; 2], a, vec![0.0; 2], vec![1.0; 2]).is_err());
+    }
+
+    #[test]
+    fn infinite_linear_term_is_not_finite_data() {
+        // Before: Ok(x = [NaN, NaN]) after one iteration, because the NaN
+        // residuals vanished in the f64::max folds.
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                QpProblem::new(
+                    Matrix::identity(2),
+                    vec![inf, 0.5],
+                    Matrix::identity(2),
+                    vec![0.0; 2],
+                    vec![1.0; 2],
+                )
+                .err(),
+                Some(ConvexError::NotFinite)
+            );
+        }
+    }
+
+    #[test]
+    fn a_row_bounded_away_at_infinity_is_infeasible() {
+        // Before: Ok with an x that violates the row.
+        for (lo, hi) in [
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        ] {
+            assert_eq!(
+                QpProblem::new(
+                    Matrix::identity(2),
+                    vec![-1.0, 0.5],
+                    Matrix::identity(2),
+                    vec![0.0, lo],
+                    vec![1.0, hi],
+                )
+                .err(),
+                Some(ConvexError::Infeasible)
+            );
+        }
+        // A free row (−∞, +∞) stays valid.
+        let free = QpProblem::new(
+            Matrix::identity(2),
+            vec![-1.0, 0.5],
+            Matrix::identity(2),
+            vec![0.0, f64::NEG_INFINITY],
+            vec![1.0, f64::INFINITY],
+        )
+        .unwrap();
+        let sol = free.solve(&settings()).unwrap();
+        assert!((sol.x[1] + 0.5).abs() < 1e-5, "{:?}", sol.x);
+    }
+
+    #[test]
+    fn an_overflowing_iterate_is_never_accepted() {
+        // Finite data whose first x-update overflows: with P = 0 the KKT
+        // matrix is (σ + ρ)I ≈ 0.1·I, so x = −q/0.1 = ∞.
+        let prob = QpProblem::new(
+            Matrix::zeros(2, 2),
+            vec![-1.7e308, 0.5],
+            Matrix::identity(2),
+            vec![-1.0; 2],
+            vec![1.0; 2],
+        )
+        .unwrap();
+        match prob.solve(&settings()) {
+            Err(ConvexError::NonConvergence {
+                iterations,
+                residual,
+            }) => {
+                assert_eq!(iterations, 1);
+                assert!(residual.is_nan());
+            }
+            other => panic!("expected NonConvergence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fused_norms_match_norm_inf_and_keep_nan() {
+        let (r, s, t) = (
+            [0.5, -3.0, -0.0, 2.0],
+            [1.0, -7.5, 0.0, 0.25],
+            [-0.0, 2.0, 9.0, 1.0],
+        );
+        let rows = || r.iter().zip(&s).zip(&t).map(|((&r, &s), &t)| (r, s, t));
+        let (res, scale) = residual_and_scale(rows());
+        assert_eq!(res.to_bits(), vector::norm_inf(&r).to_bits());
+        let sep = vector::norm_inf(&s).max(vector::norm_inf(&t));
+        assert_eq!(scale.to_bits(), sep.to_bits());
+        assert_eq!(residual_and_scale([]), (0.0, 0.0));
+        // NaN survives in the residual; plain norm_inf drops it.
+        let (res, _) = residual_and_scale([(1.0, 0.0, 0.0), (f64::NAN, 0.0, 0.0), (2.0, 0.0, 0.0)]);
+        assert!(res.is_nan());
+        assert_eq!(vector::norm_inf(&[1.0, f64::NAN, 2.0]), 2.0);
+        let (res, _) = residual_and_scale([(1.0, 0.0, 0.0), (f64::NEG_INFINITY, 0.0, 0.0)]);
+        assert_eq!(res, f64::INFINITY);
     }
 
     #[test]

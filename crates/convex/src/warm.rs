@@ -22,7 +22,7 @@
 
 use crate::qp::{QpProblem, QpSettings, QpSolution, QpWarmStart};
 use crate::ConvexError;
-use rcr_linalg::{Cholesky, Matrix};
+use rcr_linalg::Cholesky;
 use std::collections::BTreeMap;
 
 /// Default number of cached entries.
@@ -94,42 +94,6 @@ impl Hasher {
     }
 }
 
-fn hash_matrix_structure(h: &mut Hasher, m: &Matrix) {
-    h.usize(m.rows());
-    h.usize(m.cols());
-    // Sparsity pattern packed 64 entries per word.
-    let mut word = 0u64;
-    let mut bit = 0u32;
-    for v in m.as_slice() {
-        if *v != 0.0 {
-            word |= 1 << bit;
-        }
-        bit += 1;
-        if bit == 64 {
-            h.word(word);
-            word = 0;
-            bit = 0;
-        }
-    }
-    if bit > 0 {
-        h.word(word);
-    }
-}
-
-fn hash_matrix_quantized(h: &mut Hasher, m: &Matrix) {
-    for v in m.as_slice() {
-        h.f64_quantized(*v);
-    }
-}
-
-fn hash_matrix_exact(h: &mut Hasher, m: &Matrix) {
-    h.usize(m.rows());
-    h.usize(m.cols());
-    for v in m.as_slice() {
-        h.f64_exact(*v);
-    }
-}
-
 fn hash_slice_quantized(h: &mut Hasher, s: &[f64]) {
     h.usize(s.len());
     for v in s {
@@ -147,26 +111,93 @@ fn structure_range(structural: u64) -> std::ops::RangeInclusive<u128> {
     key_of(structural, 0)..=key_of(structural, u64::MAX)
 }
 
-fn fingerprint_qp(p: &QpProblem) -> u128 {
+/// What the cache knows a QP by.
+#[derive(Debug, Clone, Copy)]
+struct Fingerprint {
+    /// Structure (dimensions, sparsity patterns of `P` and `A`) in the
+    /// high half, the quantized digest of `(P, A, q, l, u)` in the low.
+    key: u128,
+    /// Bit-exact hash of `(P, A)`: a cached factor is reused only on a
+    /// match.
+    exact_pa: u64,
+}
+
+/// Independent hash lanes for `P`'s values: entry `k` feeds lane
+/// `k % P_LANES`, so the splitmix chains of neighbouring entries overlap
+/// instead of each waiting on the last.
+const P_LANES: usize = 4;
+
+/// All three hashes in one pass over `P` and one over `A`'s nonzeros.
+/// `P` feeds its pattern (packed 64 entries per word), its quantized
+/// entries and its exact bits; `A` feeds each row's length and column
+/// indices, the quantized and the exact nonzero values. `A` keeps no
+/// `±0.0` entry, so a `-0.0` fingerprints like a `+0.0`, and with the
+/// pattern equal, hashing only the nonzeros tells two instances apart
+/// exactly when hashing every entry would.
+fn fingerprint(p: &QpProblem) -> Fingerprint {
+    let (pm, a) = (p.p(), p.a());
     let mut s = Hasher::new(0x51_70);
+    let mut d = Hasher::new(0xD1_6E);
+    let mut e = Hasher::new(0xEC_AC);
     s.usize(p.num_vars());
     s.usize(p.num_constraints());
-    hash_matrix_structure(&mut s, p.p());
-    hash_matrix_structure(&mut s, p.a());
-    let mut d = Hasher::new(0xD1_6E);
-    hash_matrix_quantized(&mut d, p.p());
-    hash_matrix_quantized(&mut d, p.a());
+    for h in [&mut s, &mut e] {
+        h.usize(pm.rows());
+        h.usize(pm.cols());
+    }
+    let mut word = 0u64;
+    let mut bit = 0u32;
+    let mut d_lanes: [Hasher; P_LANES] = std::array::from_fn(|k| Hasher::new(0xD1_6E ^ k as u64));
+    let mut e_lanes: [Hasher; P_LANES] = std::array::from_fn(|k| Hasher::new(0xEC_AC ^ k as u64));
+    for chunk in pm.as_slice().chunks(P_LANES) {
+        for ((&v, dl), el) in chunk.iter().zip(&mut d_lanes).zip(&mut e_lanes) {
+            if v != 0.0 {
+                word |= 1 << bit;
+            }
+            bit += 1;
+            if bit == 64 {
+                s.word(word);
+                word = 0;
+                bit = 0;
+            }
+            dl.f64_quantized(v);
+            el.f64_exact(v);
+        }
+    }
+    if bit > 0 {
+        s.word(word);
+    }
+    for (dl, el) in d_lanes.into_iter().zip(e_lanes) {
+        d.word(dl.finish());
+        e.word(el.finish());
+    }
+    for h in [&mut s, &mut e] {
+        h.usize(a.rows());
+        h.usize(a.cols());
+    }
+    for row in a.row_entries() {
+        s.usize(row.len());
+        for &(c, v) in row {
+            s.usize(c);
+            d.f64_quantized(v);
+            e.f64_exact(v);
+        }
+    }
     hash_slice_quantized(&mut d, p.q());
     hash_slice_quantized(&mut d, p.l());
     hash_slice_quantized(&mut d, p.u());
-    key_of(s.finish(), d.finish())
+    let structural = s.finish();
+    e.word(structural);
+    Fingerprint {
+        key: key_of(structural, d.finish()),
+        exact_pa: e.finish(),
+    }
 }
 
-fn exact_hash_qp_pa(p: &QpProblem) -> u64 {
-    let mut h = Hasher::new(0xEC_AC);
-    hash_matrix_exact(&mut h, p.p());
-    hash_matrix_exact(&mut h, p.a());
-    h.finish()
+/// The cache key alone.
+#[cfg(test)]
+fn fingerprint_qp(p: &QpProblem) -> u128 {
+    fingerprint(p).key
 }
 
 // ---------------------------------------------------------------------------
@@ -368,9 +399,8 @@ impl WarmCache {
         problem: &QpProblem,
         settings: &QpSettings,
     ) -> Result<(QpSolution, WarmReport), ConvexError> {
-        let key = fingerprint_qp(problem);
+        let Fingerprint { key, exact_pa } = fingerprint(problem);
         let structural = (key >> 64) as u64;
-        let exact_pa = exact_hash_qp_pa(problem);
         let clock = self.tick();
         let mut report = WarmReport::default();
 
@@ -492,6 +522,7 @@ impl WarmCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rcr_linalg::Matrix;
 
     fn qp_instance(shift: f64) -> QpProblem {
         // Dense SPD P (a channel-Gram-like matrix): channel perturbations
@@ -623,5 +654,42 @@ mod tests {
         )
         .unwrap();
         assert_eq!(fingerprint_qp(&neg), fingerprint_qp(&pos));
+    }
+
+    #[test]
+    fn constraint_fingerprint_follows_the_nonzeros_of_a() {
+        let with_a = |a: Matrix| {
+            let p = qp_instance(0.0);
+            let n = p.num_vars();
+            let prob = QpProblem::new(
+                p.p().clone(),
+                p.q().to_vec(),
+                a,
+                vec![-1.0; n],
+                vec![1.0; n],
+            )
+            .unwrap();
+            fingerprint(&prob)
+        };
+        let base = Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.0 });
+        // An explicit -0.0 is no nonzero: key and exact hash both agree.
+        let mut neg_zero = base.clone();
+        neg_zero[(0, 3)] = -0.0;
+        let (f, g) = (with_a(base.clone()), with_a(neg_zero));
+        assert_eq!((f.key, f.exact_pa), (g.key, g.exact_pa));
+        // Moving a nonzero (same values, other column) changes the
+        // structural half, and with it the exact hash.
+        let mut moved = base.clone();
+        moved[(2, 2)] = 0.0;
+        moved[(2, 3)] = 1.0;
+        let h = with_a(moved);
+        assert_ne!(f.key >> 64, h.key >> 64);
+        assert_ne!(f.exact_pa, h.exact_pa);
+        // A changed value keeps the structure but not the exact hash.
+        let mut scaled = base;
+        scaled[(1, 1)] = 2.0;
+        let k = with_a(scaled);
+        assert_eq!(f.key >> 64, k.key >> 64);
+        assert_ne!(f.exact_pa, k.exact_pa);
     }
 }

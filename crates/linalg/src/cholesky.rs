@@ -86,6 +86,16 @@ impl Cholesky {
     /// Both buffers must have length `n`; prior contents are ignored
     /// (every element is written before it is read).
     ///
+    /// Every entry is the textbook substitution chain: `y_i = (b_i −
+    /// Σ_{j<i} l_ij·y_j) / l_ii` and `x_i = (y_i − Σ_{j>i} l_ji·x_j) / l_ii`,
+    /// each sum subtracted term by term in ascending `j`. The forward pass
+    /// runs four rows at a time (the row-quad pattern of
+    /// `rcr_kernels::gemv`): the four chains over the solved prefix are
+    /// independent, so they hide each other's add latency, and each then
+    /// finishes its own 4×4 triangle in the same ascending order, so the
+    /// bits equal the one-row-at-a-time loop's. The backward pass keeps one
+    /// chain: interleaving its rows would reorder the sums.
+    ///
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] when any slice length differs
     /// from `n`.
@@ -102,21 +112,74 @@ impl Cholesky {
                 got: vec![n, b.len(), work.len(), out.len()],
             });
         }
-        // L y = b
-        for i in 0..n {
-            let mut s = b[i];
-            for j in 0..i {
-                s -= self.l[(i, j)] * work[j];
-            }
-            work[i] = s / self.l[(i, i)];
+        if n == 0 {
+            return Ok(());
         }
-        // L^T x = y
-        for i in (0..n).rev() {
-            let mut s = work[i];
-            for j in (i + 1)..n {
-                s -= self.l[(j, i)] * out[j];
+        let l = self.l.as_slice();
+        // L y = b, rows i..i+4 per step.
+        let quads = l.chunks_exact(4 * n);
+        let l_rest = quads.remainder();
+        let mut i = 0;
+        for (quad, bq) in quads.zip(b.chunks_exact(4)) {
+            let (r0, rest) = quad.split_at(n);
+            let (r1, rest) = rest.split_at(n);
+            let (r2, r3) = rest.split_at(n);
+            let (solved, next) = work.split_at_mut(i);
+            let mut s = [0.0; 4];
+            s.copy_from_slice(bq);
+            let [mut s0, mut s1, mut s2, mut s3] = s;
+            for ((((&l0, &l1), &l2), &l3), &y) in r0.iter().zip(r1).zip(r2).zip(r3).zip(&*solved) {
+                s0 -= l0 * y;
+                s1 -= l1 * y;
+                s2 -= l2 * y;
+                s3 -= l3 * y;
             }
-            out[i] = s / self.l[(i, i)];
+            // The 4×4 diagonal block, each row still in ascending `j`.
+            let mut ys = [0.0f64; 4];
+            for (k, (row, mut sk)) in [r0, r1, r2, r3]
+                .into_iter()
+                .zip([s0, s1, s2, s3])
+                .enumerate()
+            {
+                let block = row.split_at(i).1;
+                for (&lkj, &yj) in block.iter().zip(&ys).take(k) {
+                    sk -= lkj * yj;
+                }
+                if let (Some(&d), Some(yk)) = (block.get(k), ys.get_mut(k)) {
+                    *yk = sk / d;
+                }
+            }
+            for (w, y) in next.iter_mut().zip(ys) {
+                *w = y;
+            }
+            i += 4;
+        }
+        for (row, &bi) in l_rest.chunks_exact(n).zip(b.chunks_exact(4).remainder()) {
+            let (solved, next) = work.split_at_mut(i);
+            let mut s = bi;
+            for (&lij, &y) in row.iter().zip(&*solved) {
+                s -= lij * y;
+            }
+            if let (Some(&d), Some(w)) = (row.get(i), next.first_mut()) {
+                *w = s / d;
+            }
+            i += 1;
+        }
+        // L^T x = y, walking column i of L from the diagonal down.
+        for (i, &yi) in work.iter().enumerate().rev() {
+            let (head, solved) = out.split_at_mut(i + 1);
+            let mut below = l
+                .chunks_exact(n)
+                .skip(i)
+                .map(|row| row.get(i).copied().unwrap_or(f64::NAN));
+            let d = below.next().unwrap_or(f64::NAN);
+            let mut s = yi;
+            for (lji, &x) in below.zip(&*solved) {
+                s -= lji * x;
+            }
+            if let Some(xi) = head.last_mut() {
+                *xi = s / d;
+            }
         }
         Ok(())
     }
@@ -346,6 +409,68 @@ mod tests {
         let x2 = a.solve(&b).unwrap();
         for (p, q) in x1.iter().zip(&x2) {
             assert!((p - q).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn solve_into_matches_the_one_row_reference_bit_for_bit() {
+        // The textbook two-loop substitution, one row at a time.
+        let reference = |ch: &Cholesky, b: &[f64]| -> Vec<f64> {
+            let l = ch.factor();
+            let n = l.rows();
+            let mut y = vec![0.0; n];
+            for i in 0..n {
+                let mut s = b[i];
+                for j in 0..i {
+                    s -= l[(i, j)] * y[j];
+                }
+                y[i] = s / l[(i, i)];
+            }
+            let mut x = vec![0.0; n];
+            for i in (0..n).rev() {
+                let mut s = y[i];
+                for j in (i + 1)..n {
+                    s -= l[(j, i)] * x[j];
+                }
+                x[i] = s / l[(i, i)];
+            }
+            x
+        };
+        // Every `n mod 4` tail, one and several row quads, and the n = 128
+        // KKT size of the warm QP.
+        for n in (0..=9).chain([31, 128]) {
+            // A Gram matrix, not a diagonally dominant one: its factor's
+            // off-diagonal terms are large enough that subtracting them in
+            // another order changes the rounding.
+            let g = Matrix::from_fn(n, n, |i, j| ((i * 131 + j * 71 + 17) as f64 * 0.61).sin());
+            let mut a = g
+                .matmul(&g.transpose())
+                .unwrap()
+                .scale(1.0 / n.max(1) as f64);
+            for i in 0..n {
+                a[(i, i)] += 0.05;
+            }
+            let ch = Cholesky::new(&a).unwrap();
+            let smooth: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin() * 3.0).collect();
+            let mut special = smooth.clone();
+            for (i, v) in special.iter_mut().enumerate() {
+                match i % 5 {
+                    1 => *v = f64::INFINITY,
+                    3 => *v = f64::NEG_INFINITY,
+                    4 if i > 5 => *v = f64::NAN,
+                    _ => {}
+                }
+            }
+            let zeros = vec![0.0; n];
+            let neg_zeros = vec![-0.0; n];
+            for b in [&smooth, &special, &zeros, &neg_zeros] {
+                let want = reference(&ch, b);
+                let mut work = vec![7.0; n];
+                let mut got = vec![7.0; n];
+                ch.solve_into(b, &mut work, &mut got).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n = {n}, b = {b:?}");
+            }
         }
     }
 
