@@ -1,13 +1,9 @@
-//! Analyzer benchmark: a full-workspace `rcr-lint` run with a cold
-//! (empty) versus warm (fully populated) per-file analysis cache.
-//!
-//! The cold path tokenizes and analyzes every file; the warm path only
-//! hashes file contents and deserializes the cached per-file reports.
-//! Both still build the call graph and run the semantic passes, so the
-//! delta isolates the lexical/extraction work the cache elides.
+//! Analyzer benchmark: one full-workspace `rcr-lint` run — tokenize,
+//! lexical rules and semantic extraction over every `src/**/*.rs`, then
+//! the call graph, the inter-procedural passes and the baseline.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rcr_lint::{lint_workspace_with, Options};
+use rcr_lint::lint_workspace;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 
@@ -19,35 +15,13 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn cache_file(root: &Path) -> PathBuf {
-    root.join("target/rcr-lint-cache.json")
-}
-
-fn opts() -> Options {
-    Options {
-        use_cache: true,
-        ..Options::default()
-    }
-}
-
 fn bench_lint(c: &mut Criterion) {
     let root = workspace_root();
     let mut group = c.benchmark_group("lint");
     group.sample_size(10);
-
-    group.bench_function("workspace/cold-cache", |b| {
-        b.iter(|| {
-            let _ = std::fs::remove_file(cache_file(&root));
-            black_box(lint_workspace_with(&root, &opts()).expect("lint run"))
-        })
+    group.bench_function("workspace", |b| {
+        b.iter(|| black_box(lint_workspace(&root).expect("lint run")))
     });
-
-    // Populate once; every timed iteration is then all cache hits.
-    lint_workspace_with(&root, &opts()).expect("lint run");
-    group.bench_function("workspace/warm-cache", |b| {
-        b.iter(|| black_box(lint_workspace_with(&root, &opts()).expect("lint run")))
-    });
-
     group.finish();
 }
 

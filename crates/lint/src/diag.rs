@@ -139,8 +139,8 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
 }
 
 /// A JSON object with its fields sorted by key, whatever order the
-/// writer lists them in: every artifact the tool writes (cache,
-/// baseline, SARIF) then has one canonical form and diffs cleanly.
+/// writer lists them in: every artifact the tool writes (baseline,
+/// SARIF) then has one canonical form and diffs cleanly.
 pub(crate) fn obj(mut fields: Vec<(&str, JsonValue)>) -> JsonValue {
     fields.sort_by(|a, b| a.0.cmp(b.0));
     JsonValue::Object(

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 
 pub mod baseline;
-pub mod cache;
 pub mod diag;
 pub mod engine;
 pub mod pragma;

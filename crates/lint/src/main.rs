@@ -20,10 +20,7 @@ fn main() -> ExitCode {
     let mut format = Format::Human;
     let mut root_arg: Option<PathBuf> = None;
     let mut write_baseline = false;
-    let mut opts = Options {
-        use_cache: true,
-        ..Options::default()
-    };
+    let mut opts = Options::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -49,8 +46,6 @@ fn main() -> ExitCode {
                     }
                 };
             }
-            "--changed-only" => opts.changed_only = true,
-            "--no-cache" => opts.use_cache = false,
             "--write-baseline" => {
                 write_baseline = true;
                 opts.no_baseline = true;
@@ -66,16 +61,11 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: rcr-lint [--format=json|human|github|sarif] [--root <workspace>]\n\
-                     \x20               [--changed-only] [--no-cache]\n\
                      \x20               [--baseline <file>] [--write-baseline]\n\
                      \x20               [--check-json <file>]\n\
                      Lints every workspace crate's src/ tree; exits 1 on any finding.\n\
                      Semantic findings are ratcheted against <workspace>/lint-baseline.json:\n\
                      known entries are accepted, new findings and stale entries fail.\n\
-                     --changed-only  lexical rules on files changed vs merge-base HEAD main;\n\
-                     \x20               semantic passes reused from cache when their inputs\n\
-                     \x20               are unchanged (full scan when git is unavailable)\n\
-                     --no-cache      ignore and don't write target/rcr-lint-cache.json\n\
                      --format=github emit GitHub Actions ::error annotations\n\
                      --format=sarif  emit a SARIF 2.1.0 log on stdout\n\
                      --check-json <file>  just validate that <file> parses as JSON\n\
@@ -164,7 +154,7 @@ fn main() -> ExitCode {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!(
-        "rcr-lint: {msg}\nusage: rcr-lint [--format=json|human|github|sarif] [--root <workspace>] [--changed-only] [--no-cache] [--baseline <file>] [--write-baseline] [--check-json <file>]"
+        "rcr-lint: {msg}\nusage: rcr-lint [--format=json|human|github|sarif] [--root <workspace>] [--baseline <file>] [--write-baseline] [--check-json <file>]"
     );
     ExitCode::from(2)
 }

@@ -34,8 +34,8 @@ pub mod passes;
 pub mod units;
 
 /// Semantic extraction for one source file — everything the
-/// inter-procedural passes need, cacheable per file-content hash.
-#[derive(Debug, Default, Clone, PartialEq)]
+/// inter-procedural passes need.
+#[derive(Debug, Default, Clone)]
 pub struct FileSem {
     pub fns: Vec<FnDef>,
     /// Sites removed by reason-carrying pragmas (graph cut points),
@@ -53,7 +53,7 @@ pub struct FileSem {
 }
 
 /// One function item (free fn, inherent/trait/impl method).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FnDef {
     /// Package name of the owning crate (e.g. `rcr-qos`).
     pub crate_name: String,
@@ -121,7 +121,7 @@ impl FnDef {
 }
 
 /// A call or method-call expression inside a fn body.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Call {
     /// Path segments as written (`["rra", "solve_greedy"]`, or just
     /// `["helper"]`); for method calls, the single method name.
@@ -138,7 +138,7 @@ pub struct Call {
 }
 
 /// A panic or nondeterminism-source site.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Site {
     pub line: u32,
     /// What was found (`unwrap`, `slice index`, `Instant::now`, ...).
@@ -146,7 +146,7 @@ pub struct Site {
 }
 
 /// One mutex acquisition, with the locks already held at that point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct LockAcq {
     /// Canonical lock name: the last receiver segment (`state` for
     /// `self.shared.state.lock()`), or `<anon>` when unrecoverable.
@@ -156,7 +156,7 @@ pub struct LockAcq {
 }
 
 /// A `send`/callback invocation that happened while holding locks.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RiskySite {
     pub line: u32,
     /// `send` or `callback \`f\``.

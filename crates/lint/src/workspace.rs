@@ -6,32 +6,23 @@
 //! with test exemptions already skip `tests/`, `benches/`, and
 //! `examples/`, and the determinism rules care about library code.
 //!
-//! A full run has two layers:
+//! Every run does the same two layers over the whole tree, and writes
+//! nothing:
 //!
 //! 1. **per-file** — tokenize, lexical rules, semantic extraction;
-//!    cacheable by content hash ([`crate::cache`]);
 //! 2. **workspace** — build the call graph over all extractions and run
 //!    the inter-procedural passes ([`crate::sem::passes`]), then apply
 //!    the ratchet baseline ([`crate::baseline`]).
-//!
-//! `--changed-only` runs layer 1 on files changed vs
-//! `git merge-base HEAD main` only. Layer 2 is whole-workspace by
-//! nature, so it is *reused* from the cache when no changed file
-//! altered its inputs (the semantic extraction), and re-run over a
-//! full extraction sweep when one did; outside a git repo the mode
-//! falls back to a full scan.
 
 use crate::baseline::{Baseline, STALE_BASELINE};
-use crate::cache::{self, Cache};
 use crate::diag::Diagnostic;
 use crate::engine::{analyze_source, RuleStats};
 use crate::rules::registry;
-use crate::sem::{passes, FileSem, Graph};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::sem::{passes, Graph};
+use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 /// One discovered workspace member.
 #[derive(Debug, Clone)]
@@ -42,14 +33,10 @@ pub struct CrateInfo {
     pub dir: PathBuf,
 }
 
-/// Knobs for one lint run. `Default` is a full, uncached run with the
-/// workspace's committed baseline (when present) applied.
+/// Knobs for one lint run. `Default` applies the workspace's committed
+/// baseline (when present).
 #[derive(Debug, Default)]
 pub struct Options {
-    /// Persist and reuse the per-file analysis cache under `target/`.
-    pub use_cache: bool,
-    /// Lexical-only scan of files changed vs `merge-base HEAD main`.
-    pub changed_only: bool,
     /// Explicit baseline path; `None` auto-loads
     /// `<root>/lint-baseline.json` when it exists.
     pub baseline_path: Option<PathBuf>,
@@ -76,13 +63,6 @@ pub struct Report {
     /// Sites removed by semantic allow-pragmas (graph cut points).
     pub sem_cut_sites: usize,
     pub stale_baseline: usize,
-    pub cache_hits: usize,
-    pub cache_misses: usize,
-    /// `true` when the run was restricted to changed files.
-    pub changed_only: bool,
-    /// `true` when the semantic passes were served from the cache
-    /// because no changed file altered the call-graph inputs.
-    pub sem_reused: bool,
 }
 
 impl Report {
@@ -96,14 +76,8 @@ impl Report {
     pub fn render_summary(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "rcr-lint: {} crates, {} files scanned{}\n",
-            self.crates_scanned,
-            self.files_scanned,
-            if self.changed_only {
-                " (changed-only: lexical rules on changed files)"
-            } else {
-                ""
-            }
+            "rcr-lint: {} crates, {} files scanned\n",
+            self.crates_scanned, self.files_scanned
         ));
         for rule in registry() {
             let s = self.stats.get(rule.slug).cloned().unwrap_or_default();
@@ -123,16 +97,9 @@ impl Report {
                 "bad-pragma", bad
             ));
         }
-        let sem_note = if !self.changed_only {
-            ""
-        } else if self.sem_reused {
-            " (changed-only: semantic passes reused from cache)"
-        } else {
-            " (changed-only: extraction changed, semantic passes re-run)"
-        };
         out.push_str(&format!(
-            "  semantic: call graph over {} fns, {} edges; {} pragma cut point(s){}\n",
-            self.graph_fns, self.graph_edges, self.sem_cut_sites, sem_note
+            "  semantic: call graph over {} fns, {} edges; {} pragma cut point(s)\n",
+            self.graph_fns, self.graph_edges, self.sem_cut_sites
         ));
         for slug in passes::SEMANTIC_RULES {
             let s = self.sem_stats.get(slug).cloned().unwrap_or_default();
@@ -145,12 +112,6 @@ impl Report {
             out.push_str(&format!(
                 "  {:<26} {:>3} stale entry(ies) — baseline may only shrink\n",
                 STALE_BASELINE, self.stale_baseline
-            ));
-        }
-        if self.cache_hits + self.cache_misses > 0 {
-            out.push_str(&format!(
-                "  cache: {} hit(s), {} miss(es)\n",
-                self.cache_hits, self.cache_misses
             ));
         }
         out
@@ -221,7 +182,7 @@ fn package_name(manifest: &Path) -> io::Result<Option<String>> {
     Ok(None)
 }
 
-/// Full-default run: every file, no cache, committed baseline applied.
+/// Full-default run: every file, committed baseline applied.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     lint_workspace_with(root, &Options::default())
 }
@@ -229,28 +190,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
 /// Lints every `src/**/*.rs` of every discovered crate, per `opts`.
 pub fn lint_workspace_with(root: &Path, opts: &Options) -> io::Result<Report> {
     let crates = discover_crates(root)?;
-    let changed = if opts.changed_only {
-        changed_files(root)
-    } else {
-        None
-    };
-    let mut cache = if opts.use_cache {
-        Cache::load(root)
-    } else {
-        Cache::disabled()
-    };
     let mut report = Report {
         crates_scanned: crates.len(),
-        changed_only: opts.changed_only && changed.is_some(),
         ..Report::default()
     };
-    let mut sems: Vec<FileSem> = Vec::new();
-    let mut scanned: Vec<String> = Vec::new();
-    // Unchanged files in a changed-only run: scanned for semantic
-    // extraction only (no lexical diagnostics) iff a changed file
-    // altered the call-graph inputs. `(crate, path, rel, src_dir)`.
-    let mut deferred: Vec<(String, PathBuf, String, PathBuf)> = Vec::new();
-    let mut sem_changed = false;
+    let mut sems = Vec::new();
     for info in &crates {
         let src_dir = info.dir.join("src");
         if !src_dir.is_dir() {
@@ -265,29 +209,12 @@ pub fn lint_workspace_with(root: &Path, opts: &Options) -> io::Result<Report> {
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            if let Some(set) = &changed {
-                if !set.contains(&rel) {
-                    deferred.push((info.name.clone(), path, rel, src_dir.clone()));
-                    continue;
-                }
-            }
             let source = fs::read_to_string(&path)?;
-            let key = cache::content_key(&info.name, &rel, &source);
-            let old_sem = cache.cached_sem(&rel);
-            let file_report = match cache.get(&rel, key) {
-                Some(r) => r,
-                None => {
-                    let is_root = path
-                        .file_name()
-                        .is_some_and(|f| f == "lib.rs" || f == "main.rs")
-                        && path.parent().is_some_and(|p| p == src_dir);
-                    let r = analyze_source(&info.name, &rel, &source, is_root);
-                    cache.put(&rel, key, &r);
-                    r
-                }
-            };
-            sem_changed |= old_sem.unwrap_or_default() != file_report.sem;
-            scanned.push(rel);
+            let is_root = path
+                .file_name()
+                .is_some_and(|f| f == "lib.rs" || f == "main.rs")
+                && path.parent().is_some_and(|p| p == src_dir);
+            let file_report = analyze_source(&info.name, &rel, &source, is_root);
             report.files_scanned += 1;
             report.diagnostics.extend(file_report.diagnostics);
             for (slug, s) in file_report.stats {
@@ -305,68 +232,12 @@ pub fn lint_workspace_with(root: &Path, opts: &Options) -> io::Result<Report> {
             sems.push(file_report.sem);
         }
     }
-    // A changed `.rs` path that no longer exists in the scan set but
-    // has a non-trivial cached extraction was deleted: its fns left
-    // the graph, so the cached pass results are stale.
-    if let Some(set) = &changed {
-        for rel in set {
-            if rel.ends_with(".rs")
-                && !scanned.contains(rel)
-                && cache
-                    .cached_sem(rel)
-                    .is_some_and(|s| s != FileSem::default())
-            {
-                sem_changed = true;
-            }
-        }
-    }
 
-    if report.changed_only && !sem_changed {
-        if let Some((fns, edges, diags)) = cache.load_passes() {
-            report.graph_fns = fns;
-            report.graph_edges = edges;
-            report.sem_reused = true;
-            let survivors = apply_baseline(root, opts, diags, &mut report)?;
-            report.diagnostics.extend(survivors);
-        }
-    }
-    if !report.sem_reused {
-        // Full pass run: extract the deferred (unchanged) files too so
-        // the graph covers the whole workspace, then rebuild.
-        for (crate_name, path, rel, src_dir) in &deferred {
-            let source = fs::read_to_string(path)?;
-            let key = cache::content_key(crate_name, rel, &source);
-            let file_report = match cache.get(rel, key) {
-                Some(r) => r,
-                None => {
-                    let is_root = path
-                        .file_name()
-                        .is_some_and(|f| f == "lib.rs" || f == "main.rs")
-                        && path.parent().is_some_and(|p| p == *src_dir);
-                    let r = analyze_source(crate_name, rel, &source, is_root);
-                    cache.put(rel, key, &r);
-                    r
-                }
-            };
-            sems.push(file_report.sem);
-        }
-        let graph = Graph::build(&sems);
-        report.graph_fns = graph.fns.len();
-        report.graph_edges = graph.callees.iter().map(Vec::len).sum();
-        let sem_diags = passes::run_all(&graph);
-        cache.store_passes(report.graph_fns, report.graph_edges, &sem_diags);
-        let survivors = apply_baseline(root, opts, sem_diags, &mut report)?;
-        report.diagnostics.extend(survivors);
-    }
-
-    if report.changed_only {
-        cache.prune_missing(root);
-    } else {
-        cache.retain_files(&scanned);
-    }
-    cache.save();
-    report.cache_hits = cache.hits;
-    report.cache_misses = cache.misses;
+    let graph = Graph::build(&sems);
+    report.graph_fns = graph.fns.len();
+    report.graph_edges = graph.callees.iter().map(Vec::len).sum();
+    let survivors = apply_baseline(root, opts, passes::run_all(&graph), &mut report)?;
+    report.diagnostics.extend(survivors);
     report
         .diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -446,44 +317,6 @@ fn load_baseline(root: &Path, opts: &Options) -> io::Result<Option<Baseline>> {
     Baseline::load(&path)
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-/// Files changed vs `merge-base HEAD main` plus untracked files, as
-/// workspace-relative paths. `None` when git is unavailable or the
-/// repo/branch layout doesn't cooperate — callers fall back to a full
-/// scan.
-fn changed_files(root: &Path) -> Option<BTreeSet<String>> {
-    let git = |args: &[&str]| -> Option<String> {
-        let out = Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()
-            .ok()?;
-        if !out.status.success() {
-            return None;
-        }
-        Some(String::from_utf8_lossy(&out.stdout).into_owned())
-    };
-    let base = git(&["merge-base", "HEAD", "main"])?;
-    let base = base.trim();
-    if base.is_empty() {
-        return None;
-    }
-    let mut set = BTreeSet::new();
-    for line in git(&["diff", "--name-only", base])?.lines() {
-        if !line.is_empty() {
-            set.insert(line.trim().to_string());
-        }
-    }
-    if let Some(untracked) = git(&["ls-files", "--others", "--exclude-standard"]) {
-        for line in untracked.lines() {
-            if !line.is_empty() {
-                set.insert(line.trim().to_string());
-            }
-        }
-    }
-    Some(set)
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -189,15 +189,14 @@ fn real_workspace_is_lint_clean() {
     assert!(report.files_scanned > 50, "suspiciously few files scanned");
 }
 
-/// Runs the real binary on a fixture workspace (`--no-cache` so the
-/// fixture tree is never written to) and returns (success, stdout,
-/// stderr).
+/// Runs the real binary on a fixture workspace and returns (success,
+/// stdout, stderr).
 fn run_binary_on(fixture_ws: &str, extra: &[&str]) -> (bool, String, String) {
     let root: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(fixture_ws);
     let out = Command::new(env!("CARGO_BIN_EXE_rcr-lint"))
-        .args(["--format=json", "--no-cache"])
+        .arg("--format=json")
         .args(extra)
         .arg("--root")
         .arg(&root)
@@ -398,7 +397,7 @@ fn e2e_unit_flow_fixture_workspace() {
 fn e2e_sarif_format_is_valid_and_locates_findings() {
     let root: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mini_ws_units");
     let out = Command::new(env!("CARGO_BIN_EXE_rcr-lint"))
-        .args(["--format=sarif", "--no-cache", "--root"])
+        .args(["--format=sarif", "--root"])
         .arg(&root)
         .output()
         .expect("run rcr-lint");
@@ -452,7 +451,7 @@ fn e2e_github_format_emits_error_annotations() {
     let root: PathBuf =
         Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mini_ws_underflow");
     let out = Command::new(env!("CARGO_BIN_EXE_rcr-lint"))
-        .args(["--format=github", "--no-cache", "--root"])
+        .args(["--format=github", "--root"])
         .arg(&root)
         .output()
         .expect("run rcr-lint");
@@ -480,140 +479,52 @@ fn test_region_survives_doc_comments_but_not_cfg_attr() {
 }
 
 #[test]
-fn changed_only_falls_back_to_full_scan_outside_git() {
-    // Copy the panic fixture somewhere no git repo governs: the
-    // merge-base lookup fails, and the run must fall back to a full
-    // scan (semantic passes included) instead of linting nothing.
+fn default_runs_are_repeatable_and_write_nothing() {
+    // A run is a pure function of the tree: two default runs on a
+    // fresh copy print the same bytes and leave no build directory or
+    // other artifact behind.
     let src: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mini_ws_panic");
-    let dst = std::env::temp_dir().join(format!("rcr-lint-changed-only-{}", std::process::id()));
+    let dst = std::env::temp_dir().join(format!("rcr-lint-no-side-effect-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dst);
     copy_tree(&src, &dst).expect("copy fixture");
-    let out = Command::new(env!("CARGO_BIN_EXE_rcr-lint"))
-        .args(["--format=json", "--no-cache", "--changed-only", "--root"])
-        .arg(&dst)
-        .output()
-        .expect("run rcr-lint");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let _ = std::fs::remove_dir_all(&dst);
-    assert!(!out.status.success(), "fallback full scan must still fail");
-    assert!(
-        stdout.contains("panic-reachability"),
-        "semantic passes must run in the fallback: {stdout}"
-    );
-    assert!(
-        !stderr.contains("changed-only:"),
-        "summary must not claim a changed-only scan: {stderr}"
-    );
-}
-
-#[test]
-fn changed_only_in_repo_still_runs_semantic_passes() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let opts = rcr_lint::Options {
-        changed_only: true,
-        ..rcr_lint::Options::default()
-    };
-    let report = rcr_lint::lint_workspace_with(&root, &opts).expect("lint run");
-    if report.changed_only {
-        // Git cooperated. The lexical layer is restricted to the diff,
-        // but the semantic layer still covers the whole workspace —
-        // either reused from the cache or re-run over a full
-        // extraction sweep (here cacheless, so always re-run).
-        assert!(!report.sem_reused, "no cache to reuse from");
-        assert!(report.graph_fns > 0, "semantic passes must still run");
-    }
-    // Outside git (or with git absent) the fallback ran instead; the
-    // dedicated fallback test covers that path.
-}
-
-/// Satellite: `--changed-only` with a warm cache reuses the semantic
-/// pass results when no changed file altered the extraction (hit
-/// path), and re-runs them when one did (invalidation path).
-#[test]
-fn changed_only_reuses_and_invalidates_cached_passes() {
-    let src: PathBuf =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/mini_ws_underflow");
-    let dst = std::env::temp_dir().join(format!("rcr-lint-sem-reuse-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dst);
-    copy_tree(&src, &dst).expect("copy fixture");
-    let git = |args: &[&str]| {
-        let out = Command::new("git")
-            .arg("-C")
-            .arg(&dst)
-            .args(args)
-            .output()
-            .expect("run git");
-        assert!(out.status.success(), "git {args:?} failed: {out:?}");
-    };
-    git(&["init", "-q"]);
-    git(&["-c", "user.email=t@t", "-c", "user.name=t", "add", "."]);
-    git(&[
-        "-c",
-        "user.email=t@t",
-        "-c",
-        "user.name=t",
-        "commit",
-        "-qm",
-        "seed",
-    ]);
-    git(&["branch", "-M", "main"]);
-    let run = |extra: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_rcr-lint"))
-            .args(["--format=json"])
-            .args(extra)
+    let run = || {
+        Command::new(env!("CARGO_BIN_EXE_rcr-lint"))
             .arg("--root")
             .arg(&dst)
             .output()
-            .expect("run rcr-lint");
-        (
-            out.status.success(),
-            String::from_utf8_lossy(&out.stdout).into_owned(),
-            String::from_utf8_lossy(&out.stderr).into_owned(),
-        )
+            .expect("run rcr-lint")
     };
-    // Warm the cache with a full run (fails: the fixture is broken).
-    let (ok, _, _) = run(&[]);
-    assert!(!ok);
-
-    // Hit path: a comment-only edit leaves the extraction unchanged,
-    // so the pass results come from the cache — including the finding.
-    let serve = dst.join("crates/serve/src/lib.rs");
-    let orig = std::fs::read_to_string(&serve).expect("read fixture lib");
-    std::fs::write(&serve, format!("{orig}// touched\n")).expect("append comment");
-    let (ok, stdout, stderr) = run(&["--changed-only"]);
-    assert!(!ok, "cached semantic finding must still gate");
-    assert!(
-        stderr.contains("semantic passes reused from cache"),
-        "{stderr}"
-    );
-    assert!(
-        stdout.contains("\"symbol\":\"age_us/time-arith\""),
-        "{stdout}"
-    );
-
-    // Invalidation path: a new fn with a raw time subtraction changes
-    // the extraction; the passes re-run and see the new site.
-    std::fs::write(
-        &serve,
-        format!("{orig}pub fn extra_age(deadline_us: u64, now_us: u64) -> u64 {{ deadline_us - now_us }}\n"),
-    )
-    .expect("append fn");
-    let (ok, stdout, stderr) = run(&["--changed-only"]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("semantic passes re-run"),
-        "extraction change must invalidate the cached passes: {stderr}"
-    );
-    assert!(
-        stdout.contains("\"symbol\":\"extra_age/time-arith\""),
-        "{stdout}"
-    );
+    let first = run();
+    let second = run();
+    let wrote_target = dst.join("target").exists();
     let _ = std::fs::remove_dir_all(&dst);
+    assert!(!first.status.success(), "fixture must fail the run");
+    assert_eq!(first.status.code(), second.status.code());
+    assert!(
+        String::from_utf8_lossy(&first.stdout).contains("panic-reachability"),
+        "{first:?}"
+    );
+    assert_eq!(
+        first.stdout, second.stdout,
+        "runs must print the same bytes"
+    );
+    assert!(!wrote_target, "a lint run must not create <root>/target");
+}
+
+#[test]
+fn unknown_arguments_exit_2_with_usage() {
+    for arg in ["--no-cache", "--changed-only", "--bogus"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_rcr-lint"))
+            .arg(arg)
+            .output()
+            .expect("run rcr-lint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{arg}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown argument: {arg}")) && stderr.contains("usage:"),
+            "{arg}: {stderr}"
+        );
+    }
 }
 
 fn copy_tree(src: &Path, dst: &Path) -> std::io::Result<()> {
