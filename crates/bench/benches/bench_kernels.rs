@@ -1,4 +1,4 @@
-//! Regression benchmarks backing the committed `BENCH_10.json` baseline:
+//! Regression benchmarks backing the committed `BENCH_11.json` baseline:
 //! the blocked GEMM microkernel against the naive triple loop, the
 //! blocked factorization layer (Cholesky, the PSD projection's
 //! eigensolver, the batched small-matrix path) against its unblocked /
@@ -16,7 +16,7 @@
 //! cargo bench -p rcr-bench --bench bench_kernels --features alloc-count \
 //!     -- --save-json "$PWD/target/bench_current.json"
 //! cargo run -p rcr-bench --bin bench_gate -- \
-//!     target/bench_current.json BENCH_10.json
+//!     target/bench_current.json BENCH_11.json
 //! ```
 //!
 //! All inputs are fixed splitmix64 streams so wall times and (for the
@@ -263,8 +263,8 @@ fn bench_cholesky(c: &mut Criterion) {
 /// [`Matrix::psd_projection`] runs — `SymmetricEigen::new`, the blocked
 /// tridiagonalization + implicit-QL kernel at every size. The baseline
 /// pins the end-to-end projection speedup this rewiring bought.
-/// `tracemin` is a whole SDP solve, pinned by its p25 and allocation
-/// count.
+/// `tracemin` is a whole SDP solve at n = 24 and n = 32, each pinned by
+/// its p25 and allocation count.
 fn bench_sdp(c: &mut Criterion) {
     let mut group = c.benchmark_group("sdp");
     group.sample_size(20);
@@ -281,21 +281,23 @@ fn bench_sdp(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("projection/blocked", n), &n, |be, _| {
         be.iter(|| black_box(&a).psd_projection().expect("projection")[(0, 0)])
     });
-    // The whole trace-minimization SDP (Eq. 9/10) on a fixed rank-2
-    // n = 24 input: 276 two-nonzero constraints, so the sparse Gram
-    // build and X-update sit beside ~50 PSD projections.
-    let n = 24usize;
-    let v = Matrix::from_vec(n, 2, weights(n * 2, 0x8A)).expect("shape");
-    let d: Vec<f64> = (0..n).map(|i| 0.5 + 0.02 * i as f64).collect();
-    let r_s = synth_low_rank_plus_diag(&v, &d).expect("shape");
+    // The whole trace-minimization SDP (Eq. 9/10) on fixed rank-2
+    // inputs: m = n(n−1)/2 two-nonzero constraints on disjoint supports
+    // (276 at n = 24, 496 at n = 32), so the diagonal Gram and O(m)
+    // X-update sit beside ~50 PSD projections.
     let settings = SdpSettings::default();
-    group.bench_with_input(BenchmarkId::new("tracemin", n), &n, |be, _| {
-        be.iter(|| {
-            trace_min_decompose(black_box(&r_s), &settings)
-                .expect("trace-min")
-                .trace
-        })
-    });
+    for (n, seed) in [(24usize, 0x8A), (32, 0x8B)] {
+        let v = Matrix::from_vec(n, 2, weights(n * 2, seed)).expect("shape");
+        let d: Vec<f64> = (0..n).map(|i| 0.5 + 0.02 * i as f64).collect();
+        let r_s = synth_low_rank_plus_diag(&v, &d).expect("shape");
+        group.bench_with_input(BenchmarkId::new("tracemin", n), &n, |be, _| {
+            be.iter(|| {
+                trace_min_decompose(black_box(&r_s), &settings)
+                    .expect("trace-min")
+                    .trace
+            })
+        });
+    }
     group.finish();
 }
 

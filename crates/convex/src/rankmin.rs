@@ -22,7 +22,7 @@
 //! with `R_n = diag(R_s − X)` recovered afterwards. This is exactly the
 //! classic low-rank + diagonal ("factor analysis") decomposition.
 
-use crate::sdp::{SdpProblem, SdpSettings, SdpSolution};
+use crate::sdp::{SdpProblem, SdpSettings, SdpSolution, SparseConstraint};
 use crate::ConvexError;
 use rcr_linalg::Matrix;
 
@@ -67,17 +67,11 @@ pub fn trace_min_decompose(
     let n = r_s.rows();
     let sym = r_s.symmetrize()?;
 
-    // One constraint per off-diagonal pair (i < j): ⟨E_ij + E_ji, X⟩ = 2·R_ij.
-    let mut constraints = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let mut a = Matrix::zeros(n, n);
-            a[(i, j)] = 1.0;
-            a[(j, i)] = 1.0;
-            constraints.push((a, 2.0 * sym[(i, j)]));
-        }
+    let constraints = trace_min_constraints(&sym);
+    if constraints.iter().any(|con| !con.rhs.is_finite()) {
+        return Err(ConvexError::NotFinite);
     }
-    let prob = SdpProblem::new(Matrix::identity(n), constraints)?;
+    let prob = SdpProblem::from_sparse(Matrix::identity(n), constraints);
     let SdpSolution { x, iterations, .. } = prob.solve(settings)?;
 
     let r_c = x;
@@ -94,6 +88,24 @@ pub fn trace_min_decompose(
         rank_tol,
         sdp_iterations: iterations,
     })
+}
+
+/// One constraint per off-diagonal pair `i < j` of the symmetric `n x n`
+/// `sym`: `⟨E_ij + E_ji, X⟩ = 2·R_ij`, built from its two nonzeros at flat
+/// indices `i·n + j < j·n + i` (the ascending order of
+/// `SparseConstraint::from_dense`).
+fn trace_min_constraints(sym: &Matrix) -> Vec<SparseConstraint> {
+    let n = sym.rows();
+    let mut constraints = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for (i, row) in sym.as_slice().chunks_exact(n).enumerate() {
+        for (j, &r_ij) in row.iter().enumerate().skip(i + 1) {
+            constraints.push(SparseConstraint {
+                entries: vec![(i * n + j, 1.0), (j * n + i, 1.0)],
+                rhs: 2.0 * r_ij,
+            });
+        }
+    }
+    constraints
 }
 
 /// Generates a synthetic `R_s = V Vᵀ + diag(d)` with known rank, for
@@ -215,6 +227,41 @@ mod tests {
         assert!(trace_min_decompose(&m, &settings()).is_err());
         let v = Matrix::zeros(3, 1);
         assert!(synth_low_rank_plus_diag(&v, &[1.0, 2.0]).is_err());
+    }
+
+    #[test]
+    fn constraints_are_the_nonzeros_of_the_dense_pair_matrices() {
+        let r_s = Matrix::from_fn(5, 5, |i, j| 0.3 * i as f64 - 0.7 * j as f64 + 0.1);
+        let sym = r_s.symmetrize().unwrap();
+        let n = sym.rows();
+        let mut dense = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let mut a = Matrix::zeros(n, n);
+                a[(i, j)] = 1.0;
+                a[(j, i)] = 1.0;
+                dense.push(SparseConstraint::from_dense(&a, 2.0 * sym[(i, j)]));
+            }
+        }
+        let built = trace_min_constraints(&sym);
+        assert_eq!(built.len(), dense.len());
+        for (b, d) in built.iter().zip(&dense) {
+            assert_eq!(b.entries, d.entries);
+            assert_eq!(b.rhs.to_bits(), d.rhs.to_bits());
+        }
+        assert!(trace_min_constraints(&Matrix::identity(1)).is_empty());
+    }
+
+    #[test]
+    fn an_overflowing_right_hand_side_is_not_finite() {
+        // 2·R_01 overflows although R_s is finite.
+        let mut r_s = Matrix::identity(3);
+        r_s[(0, 1)] = 1.5e308;
+        r_s[(1, 0)] = 1.5e308;
+        assert!(matches!(
+            trace_min_decompose(&r_s, &settings()),
+            Err(ConvexError::NotFinite)
+        ));
     }
 
     #[test]

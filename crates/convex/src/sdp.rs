@@ -22,22 +22,30 @@
 //! Each `A_i` is held as its nonzeros (row-major flat index, value), so
 //! with `nnz` the total nonzero count and `m` the constraint count:
 //!
-//! * set-up is O(m²·nnz) for the Gram `G_ij = ⟨A_i, A_j⟩` (a sorted
-//!   merge of two nonzero lists per entry) plus one m×m Cholesky factor;
-//! * an iteration is O(nnz + m²) for the X-update (gather `A(M) − b`,
-//!   two triangular solves, scatter `M − Σ wᵢAᵢ`) plus the Z-update's
+//! * set-up starts with one O(nnz) ownership pass over the flat indices.
+//!   When no two constraints share an entry, the Gram `G_ij = ⟨A_i, A_j⟩`
+//!   is diagonal and set-up is O(nnz) (`g_ii` only); otherwise it is
+//!   O(m²·nnz) for the dense Gram (a sorted merge of two nonzero lists
+//!   per entry) plus one m×m Cholesky factor;
+//! * an iteration's X-update (gather `A(M) − b`, solve with the Gram,
+//!   scatter `M − Σ wᵢAᵢ`) is O(nnz) on disjoint supports and
+//!   O(nnz + m²) otherwise (two triangular solves), plus the Z-update's
 //!   O(n³) eigendecomposition: the blocked tridiagonalization +
 //!   implicit-QL kernel behind [`rcr_linalg::SymmetricEigen`], one
 //!   eigensolver at every cone size.
 //!
 //! The trace-minimization SDP of [`crate::rankmin`] has two nonzeros per
-//! constraint, so its gather and scatter cost O(m), not O(m·n²).
+//! constraint on disjoint supports, so its set-up and X-update cost
+//! O(m), not O(m²) or O(m·n²).
 //!
 //! The gather and scatter are the sequential `-0.0`-seeded add chains of
 //! `rcr_kernels::dot`/`axpy` with the exact-zero `0·x` terms left out,
 //! which leaves every nonzero partial sum, and so every answer bit of
 //! the dense formulation, unchanged (`tests/sdp_sparse_oracle.rs` keeps
-//! the dense reference and pins this).
+//! the dense reference and pins this). The diagonal solve is the dense
+//! substitution with its `±0·y_j` terms folded into one signed-zero
+//! subtraction, so it returns the dense factor's bits too (see
+//! `GramFactor::solve`).
 
 use crate::ConvexError;
 use rcr_linalg::{Cholesky, Matrix};
@@ -89,15 +97,15 @@ pub struct SdpProblem {
 
 /// One equality `⟨A, X⟩ = b` with `A` held as its nonzeros.
 #[derive(Debug, Clone)]
-struct SparseConstraint {
+pub(crate) struct SparseConstraint {
     /// `(k, a_k)` for every entry with `a_k ≠ 0`, `k = row·n + col`
     /// ascending (row-major, the layout of [`Matrix::as_slice`]).
-    entries: Vec<(usize, f64)>,
-    rhs: f64,
+    pub(crate) entries: Vec<(usize, f64)>,
+    pub(crate) rhs: f64,
 }
 
 impl SparseConstraint {
-    fn from_dense(a: &Matrix, rhs: f64) -> Self {
+    pub(crate) fn from_dense(a: &Matrix, rhs: f64) -> Self {
         let entries = a
             .as_slice()
             .iter()
@@ -178,7 +186,18 @@ impl SdpProblem {
             .iter()
             .map(|(a, b)| SparseConstraint::from_dense(a, *b))
             .collect();
-        Ok(SdpProblem { c, constraints, n })
+        Ok(Self::from_sparse(c, constraints))
+    }
+
+    /// Builds a problem from constraints already held as nonzeros.
+    ///
+    /// The caller guarantees what [`SdpProblem::new`] validates: `C` is
+    /// square and finite, and every constraint has finite values and
+    /// right-hand side, nonzero entries, and flat indices below `n²` in
+    /// ascending order.
+    pub(crate) fn from_sparse(c: Matrix, constraints: Vec<SparseConstraint>) -> Self {
+        let n = c.rows();
+        SdpProblem { c, constraints, n }
     }
 
     /// Cone dimension `n`.
@@ -220,25 +239,14 @@ impl SdpProblem {
 
         // Factorize the affine projection's Gram matrix once (`None` for
         // an unconstrained cone).
-        let m = self.constraints.len();
-        let chol = if m == 0 {
+        let gram = if self.constraints.is_empty() {
             None
         } else {
-            let mut gram = Matrix::zeros(m, m);
-            for (row, ci) in gram
-                .as_mut_slice()
-                .chunks_exact_mut(m)
-                .zip(&self.constraints)
-            {
-                for (g, cj) in row.iter_mut().zip(&self.constraints) {
-                    *g = ci.inner_sparse(cj);
-                }
-            }
-            Some(Cholesky::new(&gram).map_err(|_| ConvexError::Infeasible)?)
+            Some(GramFactor::new(&self.constraints, n)?)
         };
 
         let proj_affine = |mat: &Matrix| -> Result<Matrix, ConvexError> {
-            let Some(chol) = &chol else {
+            let Some(gram) = &gram else {
                 return Ok(mat.clone());
             };
             // X = M − Σ w_i A_i with G w = A(M) − b.
@@ -247,7 +255,7 @@ impl SdpProblem {
                 .iter()
                 .map(|con| con.inner(mat.as_slice()) - con.rhs)
                 .collect();
-            let w = chol.solve(&resid)?;
+            let w = gram.solve(resid)?;
             let mut out = mat.clone();
             for (con, wi) in self.constraints.iter().zip(&w) {
                 // x + (-w)·a and x - w·a are bitwise equal.
@@ -289,6 +297,97 @@ impl SdpProblem {
             residual,
         })
     }
+}
+
+/// The affine projection's Gram `G_ij = ⟨A_i, A_j⟩`, factored once.
+enum GramFactor {
+    /// No two constraints share an entry, so `G` is diagonal: the
+    /// Cholesky factor's diagonal `l_ii = sqrt(g_ii)`.
+    Diagonal(Vec<f64>),
+    /// Overlapping supports: the dense m×m Cholesky factor.
+    Dense(Cholesky),
+}
+
+impl GramFactor {
+    /// Factors the Gram of a nonempty constraint list over `n x n`
+    /// matrices.
+    ///
+    /// # Errors
+    /// [`ConvexError::Infeasible`] when `Cholesky::new` would reject the
+    /// dense Gram: a non-finite entry, or a pivot at or below
+    /// `1e-13·max(max |g_ij|, 1)`. On disjoint supports the pivots are
+    /// the `g_ii` themselves (the off-diagonal entries are `-0.0`), so an
+    /// all-zero constraint (`g_ii = -0.0`) is rejected too.
+    fn new(constraints: &[SparseConstraint], n: usize) -> Result<Self, ConvexError> {
+        if !supports_are_disjoint(constraints, n) {
+            let m = constraints.len();
+            let mut gram = Matrix::zeros(m, m);
+            for (row, ci) in gram.as_mut_slice().chunks_exact_mut(m).zip(constraints) {
+                for (g, cj) in row.iter_mut().zip(constraints) {
+                    *g = ci.inner_sparse(cj);
+                }
+            }
+            let chol = Cholesky::new(&gram).map_err(|_| ConvexError::Infeasible)?;
+            return Ok(GramFactor::Dense(chol));
+        }
+        let diag: Vec<f64> = constraints.iter().map(|c| c.inner_sparse(c)).collect();
+        let tol = 1e-13 * diag.iter().fold(0.0, |m: f64, g| m.max(g.abs())).max(1.0);
+        if diag.iter().any(|&g| !g.is_finite() || g <= tol) {
+            return Err(ConvexError::Infeasible);
+        }
+        Ok(GramFactor::Diagonal(
+            diag.into_iter().map(f64::sqrt).collect(),
+        ))
+    }
+
+    /// Solves `G w = r`, consuming `r`.
+    ///
+    /// The diagonal path is the dense forward and backward substitution
+    /// `w_i = (r_i / l_ii) / l_ii` with the exact-zero terms dropped. The
+    /// dense factor's off-diagonal entries are all `-0.0`, so each row
+    /// subtracts only `(-0.0)·y_j` terms. For finite `y_j` such a term
+    /// is `-0.0` when `y_j`'s sign bit is clear and `+0.0` otherwise, and
+    /// subtracting either leaves every value but a `-0.0` partial sum
+    /// alone, which the first `-0.0` term turns into `+0.0`. So each row
+    /// subtracts one `t`: `-0.0` once some earlier `y_j` has a clear sign
+    /// bit, `+0.0` before. A non-finite `y_j` would make the later dense
+    /// rows NaN where this path leaves them finite, but either way `w`
+    /// holds a non-finite entry, the scatter puts it into `X`, and the
+    /// PSD projection that follows fails with the same `NotFinite` error.
+    fn solve(&self, mut r: Vec<f64>) -> Result<Vec<f64>, ConvexError> {
+        match self {
+            GramFactor::Dense(chol) => Ok(chol.solve(&r)?),
+            GramFactor::Diagonal(l) => {
+                substitute(r.iter_mut().zip(l));
+                substitute(r.iter_mut().zip(l).rev());
+                Ok(r)
+            }
+        }
+    }
+}
+
+/// One diagonal substitution pass `y_i = (s_i − t) / l_ii` over `(s_i,
+/// l_ii)` in solve order, where `t` is `-0.0` once an earlier `y_j` has a
+/// clear sign bit and `+0.0` before (see [`GramFactor::solve`]).
+fn substitute<'a>(rows: impl Iterator<Item = (&'a mut f64, &'a f64)>) {
+    let mut t = 0.0;
+    for (s, &l) in rows {
+        *s = (*s - t) / l;
+        if s.is_sign_positive() {
+            t = -0.0;
+        }
+    }
+}
+
+/// Whether no two constraints share a flat index: one ownership pass
+/// over the nonzeros of constraints whose indices lie below `n²`.
+fn supports_are_disjoint(constraints: &[SparseConstraint], n: usize) -> bool {
+    let mut owned = vec![false; n * n];
+    constraints.iter().flat_map(|c| &c.entries).all(|&(k, _)| {
+        owned
+            .get_mut(k)
+            .is_some_and(|o| !std::mem::replace(o, true))
+    })
 }
 
 #[cfg(test)]
@@ -421,6 +520,115 @@ mod tests {
         a[(1, 1)] = -2.0;
         let con = SparseConstraint::from_dense(&a, 1.0);
         assert_eq!(con.entries, vec![(2, 1.0), (4, -2.0)]);
+    }
+
+    /// `m` disjoint constraints over `n x n` with mixed-sign, non-unit
+    /// values: `E_ii` diagonals and symmetric pairs.
+    fn disjoint_set(n: usize, m: usize) -> Vec<SparseConstraint> {
+        let mut out = Vec::new();
+        for i in 0..n {
+            for j in i..n {
+                if out.len() == m {
+                    return out;
+                }
+                let v = if (i + 2 * j) % 3 == 0 {
+                    -1.5
+                } else {
+                    0.75 + 0.1 * j as f64
+                };
+                let mut a = Matrix::zeros(n, n);
+                a[(i, j)] = v;
+                a[(j, i)] = v;
+                out.push(SparseConstraint::from_dense(&a, 0.0));
+            }
+        }
+        out
+    }
+
+    fn dense_gram(constraints: &[SparseConstraint]) -> Cholesky {
+        let m = constraints.len();
+        let gram = Matrix::from_fn(m, m, |i, j| constraints[i].inner_sparse(&constraints[j]));
+        Cholesky::new(&gram).unwrap()
+    }
+
+    #[test]
+    fn diagonal_solve_is_the_dense_substitution_bit_for_bit() {
+        // m = 3 (no full forward quad), 7, 36 and 45 (past the 32-wide
+        // factor panel). Right-hand sides mix signs and put ±0.0 after
+        // both signs, so the signed-zero rule of the dense rows shows.
+        for (n, m) in [(3, 3), (4, 7), (8, 36), (9, 45)] {
+            let constraints = disjoint_set(n, m);
+            assert!(supports_are_disjoint(&constraints, n));
+            let GramFactor::Diagonal(_) = GramFactor::new(&constraints, n).unwrap() else {
+                panic!("n={n} m={m}: expected the diagonal path");
+            };
+            let chol = dense_gram(&constraints);
+            let patterns: [fn(usize) -> f64; 6] = [
+                |i| if i % 2 == 0 { -0.0 } else { 0.25 * i as f64 },
+                |i| if i % 2 == 0 { -0.0 } else { -0.25 * i as f64 },
+                |i| if i % 3 == 0 { 0.0 } else { -0.0 },
+                |i| if i % 3 == 1 { -3.0 } else { -0.0 },
+                |_| -0.0,
+                |i| if i % 4 == 2 { 1e-300 } else { -0.0 },
+            ];
+            for (p, pattern) in patterns.iter().enumerate() {
+                let r: Vec<f64> = (0..m).map(pattern).collect();
+                let dense = chol.solve(&r).unwrap();
+                let diag = GramFactor::new(&constraints, n).unwrap().solve(r).unwrap();
+                assert_eq!(
+                    diag.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "n={n} m={m} pattern {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_gram_errors_mirror_the_dense_cholesky() {
+        let n = 3;
+        let with = |k: usize, v: f64| {
+            let mut constraints = disjoint_set(n, 4);
+            let mut a = Matrix::zeros(n, n);
+            a[(2, 2)] = v;
+            constraints[k] = SparseConstraint::from_dense(&a, 1.0);
+            constraints
+        };
+        for (label, constraints) in [
+            ("all-zero", with(1, 0.0)),
+            ("under the pivot tolerance", with(0, 1e-8)),
+            ("overflowing", with(3, 1e200)),
+        ] {
+            assert!(supports_are_disjoint(&constraints, n), "{label}");
+            let m = constraints.len();
+            let gram = Matrix::from_fn(m, m, |i, j| constraints[i].inner_sparse(&constraints[j]));
+            assert!(Cholesky::new(&gram).is_err(), "{label}: dense");
+            assert!(
+                matches!(
+                    GramFactor::new(&constraints, n),
+                    Err(ConvexError::Infeasible)
+                ),
+                "{label}: diagonal"
+            );
+        }
+        // Just above the tolerance the diagonal path factors.
+        assert!(GramFactor::new(&with(0, 1e-6), n).is_ok());
+    }
+
+    #[test]
+    fn a_shared_entry_takes_the_dense_path() {
+        let n = 4;
+        let mut constraints = disjoint_set(n, 5);
+        assert!(supports_are_disjoint(&constraints, n));
+        let mut a = Matrix::zeros(n, n);
+        a[(3, 3)] = 2.0;
+        a[(0, 1)] = 0.5;
+        constraints.push(SparseConstraint::from_dense(&a, 0.0));
+        assert!(!supports_are_disjoint(&constraints, n));
+        assert!(matches!(
+            GramFactor::new(&constraints, n),
+            Ok(GramFactor::Dense(_))
+        ));
     }
 
     #[test]

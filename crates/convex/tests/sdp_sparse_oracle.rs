@@ -411,3 +411,141 @@ proptest! {
         );
     }
 }
+
+/// `E_ii` diagonals and symmetric pairs `v·(E_ij + E_ji)` on pairwise
+/// disjoint supports, with non-unit, mixed-sign values and right-hand
+/// sides that the PSD point `x0` meets.
+fn disjoint_problem(n: usize, s: &mut Stream) -> (Matrix, Vec<(Matrix, f64)>) {
+    let c = random_psd(n, n, 0.1, s);
+    let x0 = random_psd(n, 2.min(n), 0.3, s);
+    let mut constraints = Vec::new();
+    for i in 0..n {
+        for j in i..n {
+            // Leave about a third of the entries free.
+            if s.below(3) == 0 {
+                continue;
+            }
+            let v = match s.below(4) {
+                0 => -1.0,
+                1 => 2.5,
+                2 => -0.375,
+                _ => s.next(),
+            };
+            let mut a = Matrix::zeros(n, n);
+            a[(i, j)] = v;
+            a[(j, i)] = v;
+            let b = a.inner(&x0).unwrap();
+            constraints.push((a, b));
+        }
+    }
+    (c, constraints)
+}
+
+#[test]
+fn disjoint_mixed_sign_sets_match_the_dense_reference() {
+    for &n in &[2usize, 4, 7, 12] {
+        for seed in 0..3u64 {
+            let mut s = Stream(0xD15_0000 + 17 * n as u64 + seed);
+            let (c, constraints) = disjoint_problem(n, &mut s);
+            let sol = assert_matches_reference(
+                &format!("disjoint n={n} seed={seed}"),
+                &c,
+                constraints,
+                &SdpSettings::default(),
+            );
+            assert!(sol.is_ok(), "disjoint n={n} seed={seed}: {sol:?}");
+        }
+    }
+}
+
+#[test]
+fn block_diagonal_trace_min_with_zero_off_diagonals_matches_the_dense_reference() {
+    // Every off-block constraint has b = +0.0 and meets X = 0 there, so
+    // residuals of exactly zero occur: +0.0 with the `E_ij + E_ji` pairs,
+    // -0.0 with the negated pairs (a `-1·(+0.0)` gather sums to -0.0).
+    for blocks in [&[3usize, 4][..], &[2, 5, 3][..]] {
+        let n: usize = blocks.iter().sum();
+        let mut s = Stream(0xB10C + n as u64);
+        let mut r_s = Matrix::zeros(n, n);
+        let mut start = 0;
+        for &size in blocks {
+            let block = random_psd(size, 2.min(size), 0.4, &mut s);
+            for i in 0..size {
+                for j in 0..size {
+                    r_s[(start + i, start + j)] = block[(i, j)];
+                }
+            }
+            start += size;
+        }
+        let (c, constraints) = trace_min_problem(&r_s);
+        let negated = constraints
+            .iter()
+            .map(|(a, b)| (a.clone().scale(-1.0), 0.0 - b))
+            .collect();
+        for (label, constraints) in [("pairs", constraints), ("negated pairs", negated)] {
+            let label = format!("block-diagonal {blocks:?} {label}");
+            let sol = assert_matches_reference(&label, &c, constraints, &SdpSettings::default());
+            assert!(sol.is_ok(), "{label}: {sol:?}");
+        }
+    }
+}
+
+#[test]
+fn trace_min_at_n32_matches_the_dense_reference() {
+    let n = 32;
+    let mut s = Stream(0x7A11_0032);
+    let mut r_s = random_psd(n, 2, 0.0, &mut s);
+    for i in 0..n {
+        r_s[(i, i)] += 0.5 + 0.5 * s.next().abs();
+    }
+    let (c, constraints) = trace_min_problem(&r_s);
+    let sol = assert_matches_reference("trace-min n=32", &c, constraints, &SdpSettings::default());
+    assert!(sol.is_ok(), "trace-min n=32: {sol:?}");
+}
+
+#[test]
+fn degenerate_disjoint_constraints_are_infeasible_on_both_sides() {
+    // One constraint's Gram entry is under the pivot tolerance, or
+    // overflows to +inf; the other constraints stay disjoint from it.
+    let n = 4;
+    for (label, v) in [("tiny", 1e-8), ("overflowing", 1e200)] {
+        let mut s = Stream(0xDE6E);
+        let (c, mut constraints) = disjoint_problem(n, &mut s);
+        let mut a = Matrix::zeros(n, n);
+        a[(3, 3)] = v;
+        constraints.retain(|(b, _)| b[(3, 3)] == 0.0);
+        constraints.push((a, 1.0));
+        let got = assert_matches_reference(label, &c, constraints, &SdpSettings::default());
+        assert!(
+            matches!(got, Err(ConvexError::Infeasible)),
+            "{label}: {got:?}"
+        );
+    }
+}
+
+#[test]
+fn a_nearly_disjoint_set_matches_the_dense_reference() {
+    // The last constraint shares one entry with an earlier one, so the
+    // Gram is not diagonal.
+    let n = 5;
+    let mut s = Stream(0x0E4_1A9);
+    let (c, mut constraints) = disjoint_problem(n, &mut s);
+    let x0 = random_psd(n, 2, 0.3, &mut s);
+    let (shared, _) = constraints[constraints.len() / 2].clone();
+    let k = shared.as_slice().iter().position(|&v| v != 0.0).unwrap();
+    let mut a = Matrix::zeros(n, n);
+    a.as_mut_slice()[k] = 0.5;
+    let (i, j) = (k / n, k % n);
+    a[(j, i)] = 0.5;
+    let free = (0..n)
+        .find(|&d| constraints.iter().all(|(b, _)| b[(d, d)] == 0.0) && d != i)
+        .unwrap_or(i);
+    a[(free, free)] -= 1.25;
+    let b = a.inner(&x0).unwrap();
+    constraints.push((a, b));
+    let sol = assert_matches_reference("nearly disjoint", &c, constraints, &SdpSettings::default());
+    assert!(
+        matches!(sol, Ok(_) | Err(ConvexError::NonConvergence { .. })),
+        "nearly disjoint: {sol:?}"
+    );
+}

@@ -214,7 +214,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "pub fn age(deadline_us: u64, now_us: u64) -> u64 { deadline_us - now_us }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = unchecked_time_arithmetic(&g);
         assert_eq!(
             rules_syms(&diags),
@@ -234,7 +234,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "pub fn age(deadline_us: u64, now_us: u64) -> u64 { deadline_us.saturating_sub(now_us) }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(unchecked_time_arithmetic(&g).is_empty());
     }
 
@@ -245,7 +245,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "use std::time::{Duration, Instant};\npub fn f(start: Instant, mut now_us: u64) -> Instant {\n    now_us += 1;\n    start + Duration::from_micros(now_us)\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = unchecked_time_arithmetic(&g);
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert_eq!(diags[1].symbol.as_deref(), Some("f/time-arith#2"));
@@ -258,7 +258,7 @@ mod tests {
             "crates/scenarios/src/lib.rs",
             "pub fn f(xs: &[f64], peak_rate_per_us: f64, base_rate_per_us: f64, i: usize) -> f64 {\n    let r = peak_rate_per_us - base_rate_per_us;\n    let t = xs[i] as f64 + 0.5;\n    let n = i + 1;\n    r + t + n as f64\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = unchecked_time_arithmetic(&g);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -271,7 +271,7 @@ mod tests {
             "pub fn age(deadline_us: u64, now_us: u64) -> u64 {\n    // rcr-lint: allow(unchecked-time-arithmetic, reason = \"caller clamps now_us below deadline_us\")\n    deadline_us - now_us\n}\n",
         );
         assert_eq!(f.cut_time_ops, 1);
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(unchecked_time_arithmetic(&g).is_empty());
     }
 
@@ -289,7 +289,7 @@ mod tests {
             "crates/kernels/src/lib.rs",
             "pub fn gemm_into(out: &mut [f64]) { let _s = rcr_linalg::staging(out.len()); }\n",
         );
-        let g = Graph::build(&[helper, kernel]);
+        let g = Graph::build(vec![helper, kernel]);
         let diags = alloc_flow(&g);
         assert_eq!(
             rules_syms(&diags),
@@ -309,7 +309,7 @@ mod tests {
             "crates/kernels/src/lib.rs",
             "pub fn gemm_into(out: &mut [f64], x: &[f64]) { for (o, v) in out.iter_mut().zip(x) { *o = *v; } }\n",
         );
-        let g = Graph::build(&[kernel]);
+        let g = Graph::build(vec![kernel]);
         assert!(alloc_flow(&g).is_empty());
     }
 
@@ -320,7 +320,7 @@ mod tests {
             "crates/scenarios/src/lib.rs",
             "pub fn render_into(out: &mut String) { out.push_str(&format!(\"x\")); }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(alloc_flow(&g).is_empty());
     }
 
@@ -331,7 +331,7 @@ mod tests {
             "crates/kernels/src/lib.rs",
             "pub fn pack_into(out: &mut [f64]) { cold(out.len()); }\n// rcr-lint: allow(alloc-flow, reason = \"cold path runs once at pool construction, never per solve\")\nfn cold(n: usize) { let _v: Vec<f64> = Vec::with_capacity(n); }\n",
         );
-        let g = Graph::build(&[kernel]);
+        let g = Graph::build(vec![kernel]);
         assert!(alloc_flow(&g).is_empty());
     }
 
@@ -344,7 +344,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "use std::collections::HashMap;\npub fn total(m: &HashMap<u64, f64>) -> f64 {\n    let mut acc = 0.0;\n    for v in m.values() {\n        acc += v;\n    }\n    acc\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = float_reduction_order(&g);
         assert_eq!(
             rules_syms(&diags),
@@ -360,7 +360,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "use std::collections::HashMap;\npub fn total(m: &HashMap<u64, f64>) -> f64 {\n    m.values().sum::<f64>()\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = float_reduction_order(&g);
         assert_eq!(diags.len(), 1, "{diags:?}");
     }
@@ -372,7 +372,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "pub fn total(xs: &[f64]) -> f64 {\n    let mut acc = 0.0;\n    for v in xs.iter() {\n        acc += v;\n    }\n    acc\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(float_reduction_order(&g).is_empty());
     }
 
@@ -384,7 +384,7 @@ mod tests {
             "use std::collections::HashMap;\npub fn count(m: &HashMap<u64, u64>) -> u64 {\n    let mut acc = 0u64;\n    for v in m.values() {\n        // rcr-lint: allow(float-reduction-order, reason = \"integer sum is order-independent\")\n        acc += v;\n    }\n    acc\n}\n",
         );
         assert_eq!(f.cut_reductions, 1);
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(float_reduction_order(&g).is_empty());
     }
 }

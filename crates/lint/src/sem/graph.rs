@@ -213,13 +213,11 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Builds the graph from per-file extractions. `files` must be in a
-    /// deterministic order (the workspace walker sorts paths).
-    pub fn build(files: &[FileSem]) -> Graph {
-        let mut fns: Vec<FnDef> = Vec::new();
-        for f in files {
-            fns.extend(f.fns.iter().cloned());
-        }
+    /// Builds the graph from per-file extractions, taking their fns.
+    /// `files` must be in a deterministic order (the workspace walker
+    /// sorts paths).
+    pub fn build(files: Vec<FileSem>) -> Graph {
+        let mut fns: Vec<FnDef> = files.into_iter().flat_map(|f| f.fns).collect();
         // Deterministic node order regardless of input grouping.
         fns.sort_by(|a, b| (&a.file, a.line, &a.name).cmp(&(&b.file, b.line, &b.name)));
 
@@ -375,7 +373,7 @@ mod tests {
             "pub fn entry() { helper(); }\nfn helper() {}\n",
         );
         let b = sem("rcr-b", "crates/b/src/lib.rs", "pub fn helper() {}\n");
-        let g = Graph::build(&[a, b]);
+        let g = Graph::build(vec![a, b]);
         let entry = idx(&g, "entry");
         assert_eq!(g.callees[entry].len(), 1);
         assert_eq!(g.fns[g.callees[entry][0]].crate_name, "rcr-a");
@@ -389,7 +387,7 @@ mod tests {
             "pub struct W;\nimpl W {\n    pub fn new() -> W { W }\n}\npub fn boot() { let _ = W::new(); let _ = Vec::new(); rcr_b::run(); }\n",
         );
         let b = sem("rcr-b", "crates/b/src/lib.rs", "pub fn run() {}\n");
-        let g = Graph::build(&[a, b]);
+        let g = Graph::build(vec![a, b]);
         let boot = idx(&g, "boot");
         let names: Vec<&str> = g.callees[boot]
             .iter()
@@ -406,7 +404,7 @@ mod tests {
             "crates/a/src/lib.rs",
             "pub struct S;\nimpl S {\n    pub fn solve_item(&self) {}\n}\npub fn go(s: &S, v: &[u32]) { s.solve_item(); let _ = v.len(); }\n",
         );
-        let g = Graph::build(&[a]);
+        let g = Graph::build(vec![a]);
         let go = idx(&g, "go");
         let names: Vec<&str> = g.callees[go]
             .iter()

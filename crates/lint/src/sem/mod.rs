@@ -35,7 +35,7 @@ pub mod units;
 
 /// Semantic extraction for one source file — everything the
 /// inter-procedural passes need.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct FileSem {
     pub fns: Vec<FnDef>,
     /// Sites removed by reason-carrying pragmas (graph cut points),
@@ -53,7 +53,7 @@ pub struct FileSem {
 }
 
 /// One function item (free fn, inherent/trait/impl method).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FnDef {
     /// Package name of the owning crate (e.g. `rcr-qos`).
     pub crate_name: String,

@@ -409,7 +409,7 @@ mod tests {
             "crates/qos/src/lib.rs",
             "pub fn solve(xs: &[f64]) -> f64 { inner(xs) }\nfn inner(xs: &[f64]) -> f64 { pick(xs) }\nfn pick(xs: &[f64]) -> f64 { xs[0] }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = panic_reachability(&g);
         assert_eq!(rules_of(&diags), vec![(PANIC_REACHABILITY, Some("solve"))]);
         assert!(
@@ -427,7 +427,7 @@ mod tests {
             "crates/qos/src/lib.rs",
             "pub fn solve(xs: &[f64]) -> f64 { inner(xs) }\n// rcr-lint: allow(panic-reachability, reason = \"len checked by caller contract\")\nfn inner(xs: &[f64]) -> f64 { xs[0] }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(panic_reachability(&g).is_empty());
     }
 
@@ -438,7 +438,7 @@ mod tests {
             "crates/qos/src/lib.rs",
             "pub fn solve(xs: &[f64]) -> f64 {\n    // rcr-lint: allow(panic-reachability, reason = \"index bounded above\")\n    xs[0]\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(panic_reachability(&g).is_empty());
     }
 
@@ -449,7 +449,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "pub fn handler(xs: &[f64]) -> f64 { xs[0] }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(panic_reachability(&g).is_empty());
     }
 
@@ -465,7 +465,7 @@ mod tests {
             "crates/qos/src/lib.rs",
             "pub fn solve() -> u64 { rcr_runtime::jitter() }\n",
         );
-        let g = Graph::build(&[rt, qos]);
+        let g = Graph::build(vec![rt, qos]);
         let diags = determinism_taint(&g);
         assert_eq!(rules_of(&diags), vec![(DETERMINISM_TAINT, Some("solve"))]);
         assert!(
@@ -482,7 +482,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "pub struct E;\nimpl E {\n    pub fn solve_item(&self) -> u64 { std::time::Instant::now().elapsed().as_nanos() as u64 }\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = determinism_taint(&g);
         assert_eq!(
             rules_of(&diags),
@@ -497,7 +497,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "use std::sync::Mutex;\npub struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    pub fn ab(&self) { let ga = self.a.lock().unwrap(); let gb = self.b.lock().unwrap(); let _ = (ga, gb); }\n    pub fn ba(&self) { let gb = self.b.lock().unwrap(); let ga = self.a.lock().unwrap(); let _ = (ga, gb); }\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = lock_order(&g);
         assert!(
             diags.iter().any(|d| d.rule == LOCK_ORDER_CYCLE),
@@ -512,7 +512,7 @@ mod tests {
             "crates/runtime/src/lib.rs",
             "use std::sync::Mutex;\npub struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    pub fn outer(&self) { let ga = self.a.lock().unwrap(); self.take_b(); drop(ga); }\n    fn take_b(&self) { let gb = self.b.lock().unwrap(); drop(gb); }\n    pub fn other(&self) { let gb = self.b.lock().unwrap(); let ga = self.a.lock().unwrap(); let _ = (ga, gb); }\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = lock_order(&g);
         assert!(
             diags.iter().any(|d| d.rule == LOCK_ORDER_CYCLE),
@@ -527,7 +527,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "use std::sync::Mutex;\npub struct S { a: Mutex<u32>, b: Mutex<u32> }\nimpl S {\n    pub fn ab(&self) { let ga = self.a.lock().unwrap(); drop(ga); let gb = self.b.lock().unwrap(); drop(gb); }\n    pub fn ba(&self) { let gb = self.b.lock().unwrap(); drop(gb); let ga = self.a.lock().unwrap(); drop(ga); }\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(lock_order(&g).is_empty());
     }
 
@@ -538,7 +538,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "use std::sync::Mutex;\npub fn notify(m: &Mutex<u32>, tx: &std::sync::mpsc::Sender<u32>, f: impl Fn()) {\n    let g = m.lock().unwrap();\n    tx.send(*g).unwrap();\n    f();\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = lock_order(&g);
         let syms: Vec<Option<&str>> = diags
             .iter()
@@ -555,7 +555,7 @@ mod tests {
             "crates/serve/src/lib.rs",
             "use std::sync::Mutex;\npub fn peek(m: &Mutex<u32>, tx: &std::sync::mpsc::Sender<u32>) {\n    let v = *m.lock().unwrap();\n    tx.send(v).unwrap();\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(lock_order(&g).is_empty());
     }
 }

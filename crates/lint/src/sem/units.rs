@@ -592,7 +592,7 @@ mod tests {
             "crates/signal/src/lib.rs",
             "pub fn combine(snr_db: f64, reference_gain: f64) -> f64 { snr_db + reference_gain }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = db_linear_mix_sites(&g);
         assert_eq!(
             rules_syms(&diags),
@@ -608,7 +608,7 @@ mod tests {
             "crates/signal/src/lib.rs",
             "pub fn to_linear(snr_db: f64, reference_gain: f64) -> f64 {\n    10f64.powf(snr_db / 10.0) + reference_gain\n}\npub fn to_db(power: f64, floor_db: f64) -> f64 {\n    10.0 * power.log10() + floor_db\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = db_linear_mix_sites(&g);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -621,7 +621,7 @@ mod tests {
             "pub fn combine(snr_db: f64, reference_gain: f64) -> f64 {\n    // rcr-lint: allow(db-linear-mix, reason = \"reference_gain is stored in dB despite its name\")\n    snr_db + reference_gain\n}\n",
         );
         assert_eq!(f.cut_units, 1);
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         assert!(db_linear_mix_sites(&g).is_empty());
     }
 
@@ -634,7 +634,7 @@ mod tests {
             "crates/qos/src/lib.rs",
             "pub fn bump(total_rate_bps: f64, symbol_count: f64) -> f64 { total_rate_bps + symbol_count }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = rate_count_mix_sites(&g);
         assert_eq!(
             rules_syms(&diags),
@@ -649,7 +649,7 @@ mod tests {
             "crates/qos/src/lib.rs",
             "pub fn agg(rb_rates_bps: &[f64], min_rates_bps: f64) -> f64 {\n    let mut total_rate_bps = min_rates_bps;\n    total_rate_bps += rb_rates_bps[0];\n    total_rate_bps\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = rate_count_mix_sites(&g);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -663,7 +663,7 @@ mod tests {
             "crates/signal/src/lib.rs",
             "pub fn f(xs: &[f64], floor_db: f64) -> f64 {\n    let level = floor_db;\n    let base = xs[0];\n    level + base\n}\npub fn g(reference_gain: f64, floor_db: f64) -> f64 {\n    let level = floor_db;\n    level + reference_gain\n}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = db_linear_mix_sites(&g);
         // `f`: `base` is unknown — no finding. `g`: the let-bound dB
         // level meets a linear gain — one finding.
@@ -684,7 +684,7 @@ mod tests {
             "crates/signal/src/lib.rs",
             "pub fn throughput(noise_db: f64, width_hz: f64) -> f64 { rcr_qos::rate_bps(width_hz, noise_db) }\n",
         );
-        let g = Graph::build(&[qos, signal]);
+        let g = Graph::build(vec![qos, signal]);
         let diags = call_contracts(&g);
         assert_eq!(
             rules_syms(&diags),
@@ -710,7 +710,7 @@ mod tests {
             "crates/qos/src/rra.rs",
             "pub fn misrouted(total_rate_bps: f64) -> f64 { scale(total_rate_bps) }\n",
         );
-        let g = Graph::build(&[qos, caller]);
+        let g = Graph::build(vec![qos, caller]);
         let diags = call_contracts(&g);
         assert_eq!(
             rules_syms(&diags),
@@ -731,7 +731,7 @@ mod tests {
             "crates/signal/src/lib.rs",
             "pub fn clean(width_hz: f64, snr: f64) -> f64 { rcr_qos::rate_bps(width_hz, snr) }\npub fn converted(snr_db: f64, width_hz: f64) -> f64 { rcr_qos::rate_bps(width_hz, 10f64.powf(snr_db / 10.0)) }\n",
         );
-        let g = Graph::build(&[qos, signal]);
+        let g = Graph::build(vec![qos, signal]);
         let diags = call_contracts(&g);
         assert!(diags.is_empty(), "{diags:?}");
     }
@@ -744,7 +744,7 @@ mod tests {
             "pub fn scale(rb_bandwidth_hz: f64) -> f64 { rb_bandwidth_hz * 2.0 }\npub fn reviewed(total_rate_bps: f64) -> f64 {\n    // rcr-lint: allow(unit-mismatch-at-call, reason = \"scale() is unit-agnostic here, name is historical\")\n    scale(total_rate_bps)\n}\n",
         );
         assert_eq!(qos.cut_units, 1);
-        let g = Graph::build(&[qos]);
+        let g = Graph::build(vec![qos]);
         assert!(call_contracts(&g).is_empty());
     }
 
@@ -757,7 +757,7 @@ mod tests {
             "crates/qos/src/lib.rs",
             "// rcr-lint: unit(rb_bandwidth_hz = BitsPerSec, reason = \"wrong on purpose\")\npub fn f(rb_bandwidth_hz: f64) -> f64 { rb_bandwidth_hz }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = signature_consistency(&g);
         assert_eq!(
             rules_syms(&diags),
@@ -772,7 +772,7 @@ mod tests {
             "crates/qos/src/lib.rs",
             "// rcr-lint: unit(bandwith = Hz, reason = \"typo in the binding name\")\npub fn f(bandwidth: f64) -> f64 { bandwidth }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = signature_consistency(&g);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert!(
@@ -789,7 +789,7 @@ mod tests {
             "crates/qos/src/lib.rs",
             "// rcr-lint: unit(budget = PowerLinear, gains = GainLinear, return = PowerLinear, reason = \"water-filling over normalized gains\")\npub fn waterfill_power(gains: &[f64], budget: f64) -> f64 { budget / gains.len() as f64 }\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build(vec![f]);
         let diags = signature_consistency(&g);
         assert!(diags.is_empty(), "{diags:?}");
     }

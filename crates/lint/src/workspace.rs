@@ -233,7 +233,7 @@ pub fn lint_workspace_with(root: &Path, opts: &Options) -> io::Result<Report> {
         }
     }
 
-    let graph = Graph::build(&sems);
+    let graph = Graph::build(sems);
     report.graph_fns = graph.fns.len();
     report.graph_edges = graph.callees.iter().map(Vec::len).sum();
     let survivors = apply_baseline(root, opts, passes::run_all(&graph), &mut report)?;
