@@ -1,12 +1,11 @@
-//! Performance companion to E8/E9: QP, QCQP, trust-region and SDP solve
-//! times across problem sizes.
+//! Performance companion to E8/E9: QP, QCQP and SDP solve times across
+//! problem sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rcr_convex::qcqp::{QcqpProblem, QcqpSettings, QuadraticForm};
 use rcr_convex::qp::{QpProblem, QpSettings, QP_INF};
 use rcr_convex::rankmin::{synth_low_rank_plus_diag, trace_min_decompose};
 use rcr_convex::sdp::SdpSettings;
-use rcr_convex::trust_region::solve_trust_region;
 use rcr_linalg::Matrix;
 use std::hint::black_box;
 
@@ -70,23 +69,14 @@ fn bench_qcqp(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_trust_region_and_sdp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tr_sdp");
+fn bench_sdp(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rankmin_sdp");
     group.sample_size(15);
-    // Indefinite trust-region subproblem.
-    let mut b10 = psd(10, 3);
-    for i in 0..5 {
-        b10[(i, i)] -= 1.0;
-    }
-    let g: Vec<f64> = (0..10).map(|i| (i as f64 * 0.7).sin()).collect();
-    group.bench_function("trust_region/10", |bch| {
-        bch.iter(|| solve_trust_region(black_box(&b10), black_box(&g), 1.0).expect("tr"))
-    });
     // Trace-minimization SDP (Eq. 10).
     let v = Matrix::from_fn(8, 2, |r, cc| ((r * 3 + cc * 5 + 1) % 7) as f64 / 7.0 - 0.4);
     let d: Vec<f64> = (0..8).map(|i| 0.5 + (i % 3) as f64 * 0.2).collect();
     let r_s = synth_low_rank_plus_diag(&v, &d).expect("synth");
-    group.bench_function("rankmin_sdp/8", |bch| {
+    group.bench_function("8", |bch| {
         bch.iter(|| {
             trace_min_decompose(black_box(&r_s), &SdpSettings::default()).expect("decompose")
         })
@@ -94,5 +84,5 @@ fn bench_trust_region_and_sdp(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_qp, bench_qcqp, bench_trust_region_and_sdp);
+criterion_group!(benches, bench_qp, bench_qcqp, bench_sdp);
 criterion_main!(benches);

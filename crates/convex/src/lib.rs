@@ -13,13 +13,6 @@
 //! * [`rankmin`] — the paper's Eq. 8 → Eq. 9 → Eq. 10 pipeline: the
 //!   nonconvex Rank Minimization Problem relaxed to Trace Minimization and
 //!   solved as an SDP.
-//! * [`trust_region`] — a Moré–Sorensen exact trust-region subproblem
-//!   solver (the QCQP special case the paper uses for Hessian proxies).
-//! * [`quasi_newton`] — BFGS and L-BFGS with Armijo backtracking, the
-//!   Hessian-proxy machinery referenced in §IV-C.
-//! * [`envelope`] — convex under-estimators and concave over-estimators
-//!   (convex/concave envelopes, McCormick bilinear relaxation) used by the
-//!   MINLP branch-and-bound.
 //! * [`warm`] — a warm-start and solution-reuse cache for the [`qp`]
 //!   solver: fingerprints instances, keeps a bounded deterministic LRU
 //!   of prior solutions and KKT factorizations, and re-solves drifting
@@ -45,15 +38,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod envelope;
 mod error;
-pub mod lasserre;
 pub mod qcqp;
 pub mod qp;
-pub mod quasi_newton;
 pub mod rankmin;
 pub mod sdp;
-pub mod trust_region;
 pub mod warm;
 
 pub use error::ConvexError;

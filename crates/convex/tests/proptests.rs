@@ -1,10 +1,7 @@
 //! Property-based invariants of the convex solvers.
 
 use proptest::prelude::*;
-use rcr_convex::envelope::{exp_envelopes, log_envelopes, square_envelopes, Interval};
 use rcr_convex::qp::{solve_box_qp, QpSettings};
-use rcr_convex::quasi_newton::{lbfgs, QuasiNewtonSettings};
-use rcr_convex::trust_region::solve_trust_region;
 use rcr_linalg::{vector, Matrix};
 
 fn spd(entries: &[f64], n: usize) -> Matrix {
@@ -53,181 +50,5 @@ proptest! {
             };
             prop_assert!(proj.abs() < 1e-3, "projected gradient {proj} at x={xi}");
         }
-    }
-
-    #[test]
-    fn trust_region_beats_scaled_gradient_points(
-        entries in prop::collection::vec(-1.5f64..1.5, 9),
-        g in prop::collection::vec(-2.0f64..2.0, 3),
-        delta in 0.2f64..2.0,
-    ) {
-        // Indefinite B: subtract a diagonal shift.
-        let mut b = spd(&entries, 3);
-        b[(1, 1)] -= 1.5;
-        let sol = solve_trust_region(&b, &g, delta).unwrap();
-        prop_assert!(vector::norm2(&sol.x) <= delta * (1.0 + 1e-6));
-        let model = |x: &[f64]| 0.5 * b.quadratic_form(x).unwrap() + vector::dot(&g, x);
-        // Compare against the clipped steepest-descent point and origin.
-        let gn = vector::norm2(&g).max(1e-9);
-        let sd: Vec<f64> = g.iter().map(|v| -v * delta / gn).collect();
-        prop_assert!(model(&sol.x) <= model(&sd) + 1e-7);
-        prop_assert!(model(&sol.x) <= 0.0 + 1e-9); // origin is feasible
-    }
-
-    #[test]
-    fn lbfgs_minimizes_random_convex_quadratics(
-        entries in prop::collection::vec(-1.5f64..1.5, 16),
-        c in prop::collection::vec(-2.0f64..2.0, 4),
-    ) {
-        let p = spd(&entries, 4);
-        let pc = p.clone();
-        let cc = c.clone();
-        let f = (
-            move |x: &[f64]| 0.5 * pc.quadratic_form(x).unwrap() + vector::dot(&cc, x),
-            {
-                let p2 = p.clone();
-                let c2 = c.clone();
-                move |x: &[f64]| {
-                    let mut g = p2.matvec(x).unwrap();
-                    vector::axpy(1.0, &c2, &mut g);
-                    g
-                }
-            },
-        );
-        let r = lbfgs(&f, &[0.5; 4], &QuasiNewtonSettings::default()).unwrap();
-        prop_assert!(r.grad_norm < 1e-5, "grad norm {}", r.grad_norm);
-        // Optimality: P x* = -c.
-        let px = p.matvec(&r.x).unwrap();
-        for (a, b) in px.iter().zip(&c) {
-            prop_assert!((a + b).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn envelopes_always_bracket(
-        t in 0.0f64..1.0,
-        lo in -1.0f64..0.0,
-        hi in 1.0f64..2.0,
-    ) {
-        let iv = Interval::new(lo, hi).unwrap();
-        // Envelopes are only estimators *within* the interval.
-        let x = lo + t * (hi - lo);
-        let sq = square_envelopes();
-        prop_assert!((sq.under)(x, iv) <= x * x + 1e-12);
-        prop_assert!((sq.over)(x, iv) >= x * x - 1e-12);
-        let ex = exp_envelopes();
-        prop_assert!((ex.under)(x, iv) <= x.exp() + 1e-12);
-        prop_assert!((ex.over)(x, iv) >= x.exp() - 1e-12);
-        // log over a shifted positive interval.
-        let ivp = Interval::new(lo + 1.5, hi + 1.5).unwrap();
-        let xp = x + 1.5;
-        let lg = log_envelopes();
-        prop_assert!((lg.under)(xp, ivp) <= xp.ln() + 1e-12);
-        prop_assert!((lg.over)(xp, ivp) >= xp.ln() - 1e-12);
-    }
-
-    #[test]
-    fn envelopes_clamp_outside_the_interval(
-        x in -4.0f64..4.0,
-        lo in -1.0f64..0.0,
-        hi in 1.0f64..2.0,
-    ) {
-        // Outside [lo, hi] the evaluators clamp to the nearest endpoint:
-        // they must agree with evaluation at the clamped point and still
-        // bracket the function there. (The committed regression shrank to
-        // x = 1.6514… outside [0, 1], where the unclamped secant violated
-        // the over-estimator property.)
-        let iv = Interval::new(lo, hi).unwrap();
-        let xc = x.clamp(lo, hi);
-        let sq = square_envelopes();
-        prop_assert_eq!((sq.under)(x, iv), (sq.under)(xc, iv));
-        prop_assert_eq!((sq.over)(x, iv), (sq.over)(xc, iv));
-        prop_assert!((sq.under)(x, iv) <= xc * xc + 1e-12);
-        prop_assert!((sq.over)(x, iv) >= xc * xc - 1e-12);
-        let ex = exp_envelopes();
-        prop_assert_eq!((ex.under)(x, iv), (ex.under)(xc, iv));
-        prop_assert_eq!((ex.over)(x, iv), (ex.over)(xc, iv));
-        prop_assert!((ex.under)(x, iv) <= xc.exp() + 1e-12);
-        prop_assert!((ex.over)(x, iv) >= xc.exp() - 1e-12);
-        let ivp = Interval::new(lo + 1.5, hi + 1.5).unwrap();
-        let xp = x + 1.5;
-        let xpc = xp.clamp(ivp.lo, ivp.hi);
-        let lg = log_envelopes();
-        prop_assert_eq!((lg.under)(xp, ivp), (lg.under)(xpc, ivp));
-        prop_assert_eq!((lg.over)(xp, ivp), (lg.over)(xpc, ivp));
-        prop_assert!((lg.under)(xp, ivp) <= xpc.ln() + 1e-12);
-        prop_assert!((lg.over)(xp, ivp) >= xpc.ln() - 1e-12);
-    }
-}
-
-// The two committed `.proptest-regressions` entries, pinned verbatim.
-// The hashes in that file seed deterministic re-runs, but only these
-// explicit tests guarantee the exact shrunk inputs are exercised forever.
-
-/// Regression: envelope evaluation at `x = 1.6514…` outside `[0, 1]`.
-/// The secant over-estimator of `x²` drops below the function past the
-/// interval's endpoints; evaluators now clamp into the domain.
-#[test]
-fn regression_envelope_eval_outside_unit_interval() {
-    let x = 1.6514108859079446;
-    let iv = Interval::new(0.0, 1.0).unwrap();
-    let sq = square_envelopes();
-    let (under, over) = ((sq.under)(x, iv), (sq.over)(x, iv));
-    // Clamped to x = 1: both envelopes are tight there.
-    assert!((under - 1.0).abs() < 1e-12, "under {under}");
-    assert!((over - 1.0).abs() < 1e-12, "over {over}");
-    assert!(under <= over + 1e-12);
-    let ex = exp_envelopes();
-    assert!((ex.under)(x, iv) <= (ex.over)(x, iv) + 1e-12);
-}
-
-/// Regression: the 16-entry / 4-variable convex QP seed on which L-BFGS
-/// previously failed to reach `‖∇f‖ < 1e-5`.
-#[test]
-fn regression_lbfgs_16_entry_qp_seed() {
-    let entries = [
-        -1.4663293634095564,
-        -0.4506176827006783,
-        -1.2450442866608744,
-        -1.2966601939069196,
-        -0.3653276387387392,
-        1.4315619095936067,
-        1.3218844117518123,
-        1.2138550035106765,
-        -1.0461436958712726,
-        -0.955029071148894,
-        1.332398423496511,
-        -0.3828945983497529,
-        -1.10937747446934,
-        -0.6203492179313033,
-        0.8211217364320947,
-        -0.4931901391132402,
-    ];
-    let c = [
-        1.1275874948676459,
-        -1.694791689833862,
-        -1.713799776059315,
-        0.5225958624960229,
-    ];
-    let p = spd(&entries, 4);
-    let pc = p.clone();
-    let cc = c.to_vec();
-    let f = (
-        move |x: &[f64]| 0.5 * pc.quadratic_form(x).unwrap() + vector::dot(&cc, x),
-        {
-            let p2 = p.clone();
-            let c2 = c.to_vec();
-            move |x: &[f64]| {
-                let mut g = p2.matvec(x).unwrap();
-                vector::axpy(1.0, &c2, &mut g);
-                g
-            }
-        },
-    );
-    let r = lbfgs(&f, &[0.5; 4], &QuasiNewtonSettings::default()).unwrap();
-    assert!(r.grad_norm < 1e-5, "grad norm {}", r.grad_norm);
-    let px = p.matvec(&r.x).unwrap();
-    for (a, b) in px.iter().zip(&c) {
-        assert!((a + b).abs() < 1e-5, "P x* + c residual {}", (a + b).abs());
     }
 }

@@ -189,10 +189,11 @@ fn trace_min_problem(r_s: &Matrix) -> (Matrix, Vec<(Matrix, f64)>) {
     (Matrix::identity(n), constraints)
 }
 
-/// The Hankel moment SDP of `lasserre::minimize_polynomial` for an
-/// even-degree polynomial: `y_0 = 1` plus one symmetrized difference per
-/// non-representative anti-diagonal cell. Neighbouring constraints share
-/// their representative cell, so the Gram is not diagonal.
+/// The Hankel moment SDP that bounds the minimum of a univariate
+/// even-degree polynomial from below: `y_0 = 1` plus one symmetrized
+/// difference per non-representative anti-diagonal cell. Neighbouring
+/// constraints share their representative cell, so the Gram is not
+/// diagonal.
 fn hankel_problem(coeffs: &[f64]) -> (Matrix, Vec<(Matrix, f64)>) {
     let degree = coeffs.len() - 1;
     let n = degree / 2 + 1;
@@ -250,7 +251,7 @@ fn trace_min_sets_match_the_dense_reference() {
 }
 
 #[test]
-fn lasserre_hankel_sets_match_the_dense_reference() {
+fn hankel_moment_sets_match_the_dense_reference() {
     let polys: [&[f64]; 4] = [
         &[4.0, -4.0, 1.0],
         &[1.0, 0.0, -2.0, 0.0, 1.0],

@@ -165,6 +165,53 @@ mod tests {
     }
 
     #[test]
+    fn exhausted_budget_reports_no_exact_row_and_keeps_the_heuristics() {
+        let scenario = Scenario::generate(
+            &ScenarioConfig {
+                users: 3,
+                resource_blocks: 5,
+                ..Default::default()
+            },
+            21,
+        )
+        .unwrap();
+        let pso = PsoSettings {
+            swarm_size: 10,
+            max_iter: 30,
+            seed: 2,
+            ..Default::default()
+        };
+        // One node is the root relaxation: the budget runs out before any
+        // assignment is evaluated, so B&B has no incumbent to return.
+        let starved = BnbSettings {
+            max_nodes: 1,
+            ..Default::default()
+        };
+        let cmp = compare_solvers(&scenario, &starved, &pso).unwrap();
+        let kinds: Vec<SolverKind> = cmp.outcomes.iter().map(|o| o.solver).collect();
+        assert_eq!(
+            kinds,
+            [SolverKind::Exact, SolverKind::Pso, SolverKind::Greedy]
+        );
+        assert!(cmp.outcomes[0].solution.is_none());
+        assert_eq!(cmp.gap_vs_exact(SolverKind::Pso), None);
+        assert_eq!(cmp.gap_vs_exact(SolverKind::Greedy), None);
+        // The heuristics' outcomes do not depend on the B&B budget.
+        let full = compare_solvers(&scenario, &BnbSettings::default(), &pso).unwrap();
+        assert!(full.outcomes[0].solution.is_some());
+        assert!(cmp.outcomes[2].solution.is_some());
+        for i in 1..3 {
+            let rate = |c: &QosComparison| {
+                c.outcomes[i]
+                    .solution
+                    .as_ref()
+                    .map(|s| s.total_rate_bps.to_bits())
+            };
+            assert_eq!(rate(&cmp), rate(&full), "{:?}", cmp.outcomes[i].solver);
+        }
+    }
+
+    #[test]
     fn solver_names() {
         assert_eq!(SolverKind::Exact.name(), "exact (B&B)");
         assert_eq!(SolverKind::Pso.name(), "PSO");

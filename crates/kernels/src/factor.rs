@@ -287,7 +287,7 @@ pub fn qr_unblocked(r: &mut [f64], m: usize, n: usize, vhead: &mut [f64], vtv: &
 /// panel columns immediately (the reference order). The panel's `V` is
 /// then packed into a contiguous [`Scratch::take_mat`] buffer and the
 /// reflectors are replayed over the trailing columns in ascending `k`
-/// order, vectorized across [`QR_NC`]-column tiles — each element still
+/// order, vectorized across `QR_NC`-column tiles — each element still
 /// sees the exact reference sequence of (dot, scale, subtract) operations,
 /// the packing only improves locality of the `V` reads.
 pub fn qr(r: &mut [f64], m: usize, n: usize, vhead: &mut [f64], vtv: &mut [f64], s: &mut Scratch) {

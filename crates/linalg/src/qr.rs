@@ -4,8 +4,7 @@ use crate::{LinalgError, Matrix};
 /// `m >= n`.
 ///
 /// `Q` is `m x n` with orthonormal columns (thin QR) and `R` is `n x n`
-/// upper triangular. Primarily used for least-squares solves inside the
-/// trust-region and water-filling routines.
+/// upper triangular. Used for least-squares solves.
 ///
 /// # Example
 /// ```

@@ -1,6 +1,6 @@
 //! Special functions needed by the wireless substrate: the complementary
-//! error function and the Gaussian Q-function (BER analysis of the OFDM
-//! modem rides on `Q`).
+//! error function and the Gaussian Q-function (the bit-error rate of a
+//! Gray-coded QPSK link is `Q(√(2·Eb/N0))`).
 //!
 //! `erfc` uses the Numerical-Recipes Chebyshev rational approximation
 //! (relative error < 1.2e-7 everywhere) — plenty for bit-error-rate

@@ -25,8 +25,6 @@
 //! * [`robust`] — the robust convex relaxation of the RRA assignment
 //!   (uncertainty margin from the gain-profile Gram spectrum, box QP,
 //!   round + repair), solved by one entry point, `solve_robust`.
-//! * [`multirat`] — the multi-RAT assignment problem with per-RAT
-//!   capacities.
 //! * [`workload`] — scenario generators with eMBB/URLLC/mMTC QoS classes.
 //!
 //! # Example
@@ -48,7 +46,6 @@
 
 pub mod admission;
 pub mod channel;
-pub mod multirat;
 pub mod power;
 pub mod robust;
 pub mod rra;

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use rcr_qos::channel::{Channel, ChannelConfig};
-use rcr_qos::multirat::{solve_greedy as multirat_greedy, MultiRatProblem};
 use rcr_qos::rra::{relaxation_bound_bps, solve_greedy, RraProblem};
 
 fn problem(users: usize, rbs: usize, seed: u64) -> RraProblem {
@@ -65,28 +64,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn multirat_greedy_always_capacity_feasible(
-        users in 1usize..7,
-        rats in 2usize..4,
-        seed in 0u64..200,
-    ) {
-        // Utilities from a deterministic hash; capacities sized to fit.
-        let utility: Vec<Vec<f64>> = (0..users)
-            .map(|u| {
-                (0..rats)
-                    .map(|r| (((u * 31 + r * 17 + seed as usize) % 97) as f64) / 10.0)
-                    .collect()
-            })
-            .collect();
-        let base = users / rats + 1;
-        let capacity = vec![base; rats];
-        let p = MultiRatProblem::new(utility, capacity.clone()).unwrap();
-        let sol = multirat_greedy(&p).unwrap();
-        for (r, &load) in sol.load.iter().enumerate() {
-            prop_assert!(load <= capacity[r]);
-        }
-        prop_assert!(sol.utility >= 0.0);
-        prop_assert_eq!(sol.assignment.len(), users);
-    }
 }

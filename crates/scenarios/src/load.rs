@@ -16,7 +16,7 @@
 //!
 //! This module is the one deliberately wall-clock-touching part of the
 //! crate (generation stays virtual-time and clock-free); every clock
-//! read funnels through [`wall_now`], which carries the lint waiver.
+//! read funnels through `wall_now`, which carries the lint waiver.
 
 use crate::manifest::ScenarioManifest;
 use crate::report::{ReportBuilder, ScenarioReport};

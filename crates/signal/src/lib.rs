@@ -16,10 +16,6 @@
 //!   a phase skew that is dependent on the stored window length L_g"), and
 //!   the point-wise phase-factor correction the paper prescribes for
 //!   converting between them.
-//! * [`gabor`] — Gabor phase-derivative analogue of the `gabphasederiv`
-//!   routine quoted in §IV-B, including the low-magnitude reliability mask
-//!   ("the phase of complex numbers close to the machine precision is
-//!   almost random").
 //! * [`profile`] — [`profile::LibraryProfile`] emulates each documented
 //!   defect class so the [`profile::ConformanceSuite`] can regenerate the
 //!   Fig. 3 issue matrix.
@@ -42,11 +38,8 @@
 #![warn(missing_docs)]
 
 mod complex;
-pub mod denoise;
 mod error;
 pub mod fft;
-pub mod gabor;
-pub mod ofdm;
 pub mod peaks;
 pub mod profile;
 pub mod spectrogram;

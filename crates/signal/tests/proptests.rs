@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use rcr_signal::fft::{dft_naive, fft, ifft, irfft, rfft};
-use rcr_signal::ofdm::{demodulate, modulate, OfdmConfig};
 use rcr_signal::stft::{PhaseConvention, StftPlan};
 use rcr_signal::window::{window, WindowKind, WindowSymmetry};
 use rcr_signal::Complex64;
@@ -84,14 +83,4 @@ proptest! {
         }
     }
 
-    #[test]
-    fn ofdm_roundtrip_any_bits(raw in prop::collection::vec(any::<bool>(), 1..4)) {
-        // Tile the random bits into exactly one OFDM symbol.
-        let cfg = OfdmConfig { subcarriers: 16, cyclic_prefix: 4 };
-        let bits: Vec<bool> =
-            (0..cfg.bits_per_symbol()).map(|i| raw[i % raw.len()]).collect();
-        let tx = modulate(&cfg, &bits).unwrap();
-        let rx = demodulate(&cfg, &tx, &vec![Complex64::ONE; 16]).unwrap();
-        prop_assert_eq!(bits, rx);
-    }
 }

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod attack;
 pub mod bounds;
 pub mod crown;
 pub mod exact;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# The CI gate: release build, complete test suite, formatting, lints.
+# The CI gate: release build, complete test suite, formatting, lints, docs.
 # Usage: scripts/verify.sh [--quick] [--bench-smoke] [--scenario-smoke]
-#   --quick        build + tests only (skips rcr-lint, fmt, clippy, and bench compilation)
+#   --quick        build + tests only (skips rcr-lint, fmt, clippy, rustdoc, and bench compilation)
 #   --bench-smoke  also run the benchmark suite in smoke mode and diff the
 #                  results against the committed BENCH_11.json baseline
 #                  (wall-time regressions beyond 25% of the host factor,
@@ -33,7 +33,7 @@ echo "== cargo test --workspace ==" >&2
 cargo test --workspace -q
 
 if [ "$quick" -eq 1 ]; then
-  echo "verify.sh: quick gates passed (lint/fmt/clippy/benches skipped)" >&2
+  echo "verify.sh: quick gates passed (lint/fmt/clippy/rustdoc/benches skipped)" >&2
   exit 0
 fi
 
@@ -62,6 +62,11 @@ cargo fmt --check
 
 echo "== cargo clippy (warnings are errors) ==" >&2
 cargo clippy --workspace --all-targets --benches -- -D warnings
+
+echo "== cargo doc (rustdoc warnings are errors) ==" >&2
+# Broken, private or ambiguous intra-doc links fail the gate, so a
+# deleted item cannot leave a dangling link behind in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 if [ "$bench_smoke" -eq 1 ]; then
   echo "== bench smoke + regression gate (vs BENCH_11.json) ==" >&2

@@ -1,7 +1,6 @@
 //! Property-based invariants across the workspace (proptest).
 
 use proptest::prelude::*;
-use rcr::convex::envelope::{mccormick, Interval};
 use rcr::linalg::{vector, Matrix};
 use rcr::numerics::stable::{log_softmax, softmax};
 use rcr::signal::fft::{fft, ifft};
@@ -43,18 +42,6 @@ proptest! {
         prop_assert!(p.min_eigenvalue().unwrap() > -1e-8);
         let pp = p.psd_projection().unwrap();
         prop_assert!((&pp - &p).max_abs() < 1e-7);
-    }
-
-    #[test]
-    fn mccormick_always_contains_product(
-        x in -5.0f64..5.0, y in -5.0f64..5.0,
-        w1 in 0.1f64..3.0, w2 in 0.1f64..3.0,
-    ) {
-        let xi = Interval::new(x - w1, x + w1).unwrap();
-        let yi = Interval::new(y - w2, y + w2).unwrap();
-        let iv = mccormick(x, y, xi, yi);
-        prop_assert!(iv.lo <= x * y + 1e-9);
-        prop_assert!(iv.hi >= x * y - 1e-9);
     }
 
     #[test]
