@@ -45,7 +45,7 @@
 //! the dense reference and pins this). The diagonal solve is the dense
 //! substitution with its `±0·y_j` terms folded into one signed-zero
 //! subtraction, so it returns the dense factor's bits too (see
-//! `GramFactor::solve`).
+//! `GramFactor::solve_into`).
 
 use crate::ConvexError;
 use rcr_linalg::{Cholesky, Matrix};
@@ -245,42 +245,59 @@ impl SdpProblem {
             Some(GramFactor::new(&self.constraints, n)?)
         };
 
-        let proj_affine = |mat: &Matrix| -> Result<Matrix, ConvexError> {
-            let Some(gram) = &gram else {
-                return Ok(mat.clone());
-            };
-            // X = M − Σ w_i A_i with G w = A(M) − b.
-            let resid: Vec<f64> = self
-                .constraints
-                .iter()
-                .map(|con| con.inner(mat.as_slice()) - con.rhs)
-                .collect();
-            let w = gram.solve(resid)?;
-            let mut out = mat.clone();
-            for (con, wi) in self.constraints.iter().zip(&w) {
-                // x + (-w)·a and x - w·a are bitwise equal.
-                con.axpy(-wi, out.as_mut_slice());
-            }
-            Ok(out)
-        };
-
+        // The iterates live in buffers made once and reused by every
+        // iteration; only the PSD projection returns a new matrix.
+        let c_rho = &self.c * (1.0 / rho);
+        let m = self.constraints.len();
+        let (mut resid, mut work, mut w) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+        let mut x = Matrix::zeros(n, n);
+        let mut x_plus_u = Matrix::zeros(n, n);
+        let mut delta = Matrix::zeros(n, n);
         let mut z = Matrix::zeros(n, n);
         let mut u = Matrix::zeros(n, n);
         let mut residual = f64::INFINITY;
         for iter in 0..settings.max_iter {
             // X-update: project Z − U − C/ρ onto the affine subspace.
-            let target = &(&z - &u) - &(&self.c * (1.0 / rho));
-            let x = proj_affine(&target)?;
+            for (((xk, &zk), &uk), &ck) in x
+                .as_mut_slice()
+                .iter_mut()
+                .zip(z.as_slice())
+                .zip(u.as_slice())
+                .zip(c_rho.as_slice())
+            {
+                *xk = (zk - uk) - ck;
+            }
+            if let Some(gram) = &gram {
+                // X = M − Σ w_i A_i with G w = A(M) − b.
+                for (ri, con) in resid.iter_mut().zip(&self.constraints) {
+                    *ri = con.inner(x.as_slice()) - con.rhs;
+                }
+                gram.solve_into(&resid, &mut work, &mut w)?;
+                for (con, wi) in self.constraints.iter().zip(&w) {
+                    // x + (-w)·a and x - w·a are bitwise equal.
+                    con.axpy(-wi, x.as_mut_slice());
+                }
+            }
             // Z-update: PSD projection of X + U.
-            let z_new = (&x + &u).psd_projection()?;
+            zip_into(&mut x_plus_u, &x, &u, |xk, uk| xk + uk);
+            let z_new = x_plus_u.psd_projection()?;
             // Dual update.
-            u = &(&u + &x) - &z_new;
-            let diff = (&x - &z_new).frobenius_norm();
+            for ((uk, &xk), &zk) in u
+                .as_mut_slice()
+                .iter_mut()
+                .zip(x.as_slice())
+                .zip(z_new.as_slice())
+            {
+                *uk = (*uk + xk) - zk;
+            }
+            zip_into(&mut delta, &x, &z_new, |xk, zk| xk - zk);
+            let diff = delta.frobenius_norm();
             // The ADMM dual residual ρ‖Z_k − Z_{k−1}‖_F. Without it the
             // solve can stop at iteration 1: from the zero seed the first
             // affine projection is sometimes already PSD, making the
             // consensus residual ~0 at a feasible but suboptimal point.
-            let dual = rho * (&z_new - &z).frobenius_norm();
+            zip_into(&mut delta, &z_new, &z, |new, old| new - old);
+            let dual = rho * delta.frobenius_norm();
             z = z_new;
             residual = diff.max(self.constraint_residual(&z)).max(dual);
             if residual < settings.tol {
@@ -340,7 +357,8 @@ impl GramFactor {
         ))
     }
 
-    /// Solves `G w = r`, consuming `r`.
+    /// Solves `G w = r` into `w`; `work` holds the dense path's forward
+    /// substitution. All three slices have length `m`.
     ///
     /// The diagonal path is the dense forward and backward substitution
     /// `w_i = (r_i / l_ii) / l_ii` with the exact-zero terms dropped. The
@@ -354,21 +372,36 @@ impl GramFactor {
     /// rows NaN where this path leaves them finite, but either way `w`
     /// holds a non-finite entry, the scatter puts it into `X`, and the
     /// PSD projection that follows fails with the same `NotFinite` error.
-    fn solve(&self, mut r: Vec<f64>) -> Result<Vec<f64>, ConvexError> {
+    fn solve_into(&self, r: &[f64], work: &mut [f64], w: &mut [f64]) -> Result<(), ConvexError> {
         match self {
-            GramFactor::Dense(chol) => Ok(chol.solve(&r)?),
+            GramFactor::Dense(chol) => Ok(chol.solve_into(r, work, w)?),
             GramFactor::Diagonal(l) => {
-                substitute(r.iter_mut().zip(l));
-                substitute(r.iter_mut().zip(l).rev());
-                Ok(r)
+                for (wi, &ri) in w.iter_mut().zip(r) {
+                    *wi = ri;
+                }
+                substitute(w.iter_mut().zip(l));
+                substitute(w.iter_mut().zip(l).rev());
+                Ok(())
             }
         }
     }
 }
 
+/// `out = f(a, b)` entry by entry, for three matrices of one shape.
+fn zip_into(out: &mut Matrix, a: &Matrix, b: &Matrix, f: impl Fn(f64, f64) -> f64) {
+    for ((o, &ak), &bk) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(a.as_slice())
+        .zip(b.as_slice())
+    {
+        *o = f(ak, bk);
+    }
+}
+
 /// One diagonal substitution pass `y_i = (s_i − t) / l_ii` over `(s_i,
 /// l_ii)` in solve order, where `t` is `-0.0` once an earlier `y_j` has a
-/// clear sign bit and `+0.0` before (see [`GramFactor::solve`]).
+/// clear sign bit and `+0.0` before (see [`GramFactor::solve_into`]).
 fn substitute<'a>(rows: impl Iterator<Item = (&'a mut f64, &'a f64)>) {
     let mut t = 0.0;
     for (s, &l) in rows {
@@ -553,7 +586,7 @@ mod tests {
 
     #[test]
     fn diagonal_solve_is_the_dense_substitution_bit_for_bit() {
-        // m = 3 (no full forward quad), 7, 36 and 45 (past the 32-wide
+        // m = 3 and 7 (no full forward block), 36 and 45 (past the 32-wide
         // factor panel). Right-hand sides mix signs and put ±0.0 after
         // both signs, so the signed-zero rule of the dense rows shows.
         for (n, m) in [(3, 3), (4, 7), (8, 36), (9, 45)] {
@@ -574,7 +607,11 @@ mod tests {
             for (p, pattern) in patterns.iter().enumerate() {
                 let r: Vec<f64> = (0..m).map(pattern).collect();
                 let dense = chol.solve(&r).unwrap();
-                let diag = GramFactor::new(&constraints, n).unwrap().solve(r).unwrap();
+                let mut diag = vec![7.0; m];
+                GramFactor::new(&constraints, n)
+                    .unwrap()
+                    .solve_into(&r, &mut vec![7.0; m], &mut diag)
+                    .unwrap();
                 assert_eq!(
                     diag.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     dense.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use rcr_kernels::{
-    axpy, cholesky_unblocked, cholesky_with_block, dot, eigh_with_block, gemm, gemm_naive, gemv,
-    gemv_bias, gemv_t, norm_inf_diff, qr_thin_q, qr_unblocked, qr_with_block, Scratch, FACTOR_NB,
+    axpy, cholesky_unblocked, cholesky_with_block, dot, gemm, gemm_naive, gemv, gemv_bias, gemv_t,
+    norm_inf_diff, qr_thin_q, qr_unblocked, qr_with_block, Scratch, FACTOR_NB,
 };
 
 const MAX_M: usize = 13;
@@ -294,22 +294,4 @@ proptest! {
         assert_bits_eq(&q, &q_ref)?;
     }
 
-    #[test]
-    fn banded_eigh_is_bit_identical(
-        size_idx in 0usize..STRADDLE_NS.len(),
-        nb in 1usize..=2 * FACTOR_NB,
-        pool in prop::collection::vec(-1.0f64..1.0, MAX_STRADDLE_N * MAX_STRADDLE_N),
-    ) {
-        let n = STRADDLE_NS[size_idx];
-        let a = spd_from_pool(n, &pool);
-        let mut scratch = Scratch::new();
-        let mut v_ref = a.clone();
-        let mut vals_ref = vec![0.0; n];
-        eigh_with_block(&mut v_ref, n, &mut vals_ref, &mut scratch, n).unwrap();
-        let mut v = a.clone();
-        let mut vals = vec![0.0; n];
-        eigh_with_block(&mut v, n, &mut vals, &mut scratch, nb).unwrap();
-        assert_bits_eq(&vals, &vals_ref)?;
-        assert_bits_eq(&v, &v_ref)?;
-    }
 }

@@ -1,5 +1,9 @@
 use crate::{LinalgError, Matrix};
 
+/// Rows per block of the forward substitution, and the edge of the square
+/// tiles the in-place transpose walks.
+const BLOCK: usize = 8;
+
 /// Cholesky factorization `A = L * L^T` of a symmetric positive definite
 /// matrix.
 ///
@@ -7,6 +11,9 @@ use crate::{LinalgError, Matrix};
 /// positive-definiteness test used by the convex solvers: construction fails
 /// with [`LinalgError::NotPositiveDefinite`] exactly when `A` is not SPD
 /// (up to a small diagonal tolerance).
+///
+/// The factor is stored as `Lᵀ`, row-major in one n² buffer, so both
+/// substitutions of [`Cholesky::solve_into`] walk memory at unit stride.
 ///
 /// # Example
 /// ```
@@ -20,7 +27,8 @@ use crate::{LinalgError, Matrix};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    l: Matrix,
+    /// `Lᵀ`: upper triangular, the strict lower triangle zero.
+    lt: Matrix,
 }
 
 impl Cholesky {
@@ -51,22 +59,21 @@ impl Cholesky {
         }
         let n = a.rows();
         let tol = 1e-13 * a.max_abs().max(1.0);
-        let mut l = a.clone();
-        rcr_kernels::cholesky(l.as_mut_slice(), n, n, tol)
+        let mut lt = a.clone();
+        rcr_kernels::cholesky(lt.as_mut_slice(), n, n, tol)
             .map_err(|pivot| LinalgError::NotPositiveDefinite { pivot })?;
-        // The kernel factors in place and leaves the strict upper triangle
-        // holding the input's entries; zero it so `factor()` is a clean L.
-        for i in 0..n {
-            for j in (i + 1)..n {
-                l[(i, j)] = 0.0;
-            }
-        }
-        Ok(Cholesky { l })
+        // The kernel leaves `L` in the lower triangle and the input's
+        // entries in the strict upper one.
+        transpose_lower_in_place(lt.as_mut_slice(), n);
+        Ok(Cholesky { lt })
     }
 
-    /// The lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
+    /// The lower-triangular factor `L`, transposed out of the stored `Lᵀ`
+    /// into a new matrix.
+    pub fn factor(&self) -> Matrix {
+        let n = self.lt.rows();
+        let lt = self.lt.as_slice();
+        Matrix::from_fn(n, n, |i, j| lt.get(j * n + i).copied().unwrap_or(0.0))
     }
 
     /// Solves `A x = b` via two triangular solves.
@@ -74,7 +81,7 @@ impl Cholesky {
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] when `b.len()` differs from `n`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let n = self.l.rows();
+        let n = self.lt.rows();
         let mut work = vec![0.0; n];
         let mut x = vec![0.0; n];
         self.solve_into(b, &mut work, &mut x)?;
@@ -89,12 +96,14 @@ impl Cholesky {
     /// Every entry is the textbook substitution chain: `y_i = (b_i −
     /// Σ_{j<i} l_ij·y_j) / l_ii` and `x_i = (y_i − Σ_{j>i} l_ji·x_j) / l_ii`,
     /// each sum subtracted term by term in ascending `j`. The forward pass
-    /// runs four rows at a time (the row-quad pattern of
-    /// `rcr_kernels::gemv`): the four chains over the solved prefix are
-    /// independent, so they hide each other's add latency, and each then
-    /// finishes its own 4×4 triangle in the same ascending order, so the
-    /// bits equal the one-row-at-a-time loop's. The backward pass keeps one
-    /// chain: interleaving its rows would reorder the sums.
+    /// runs eight rows at a time: their terms `l_ij` for one `j` are the
+    /// contiguous `Lᵀ[j][i..i+8]`, the eight chains over the solved prefix
+    /// are independent, so they hide each other's add latency, and each
+    /// then finishes its own 8×8 triangle in the same ascending order, so
+    /// the bits equal the one-row-at-a-time loop's. The `n mod 8` rows
+    /// left over run one at a time. The backward pass keeps one chain:
+    /// interleaving its rows would reorder the sums. Its terms `l_ji`,
+    /// `j > i`, are row `i` of `Lᵀ`, so that chain is unit-stride too.
     ///
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] when any slice length differs
@@ -105,7 +114,7 @@ impl Cholesky {
         work: &mut [f64],
         out: &mut [f64],
     ) -> Result<(), LinalgError> {
-        let n = self.l.rows();
+        let n = self.lt.rows();
         if b.len() != n || work.len() != n || out.len() != n {
             return Err(LinalgError::DimensionMismatch {
                 op: "cholesky solve_into",
@@ -115,66 +124,65 @@ impl Cholesky {
         if n == 0 {
             return Ok(());
         }
-        let l = self.l.as_slice();
-        // L y = b, rows i..i+4 per step.
-        let quads = l.chunks_exact(4 * n);
-        let l_rest = quads.remainder();
+        let lt = self.lt.as_slice();
+        // L y = b, rows i..i+8 per block.
+        let blocks = b.chunks_exact(BLOCK);
+        let b_rest = blocks.remainder();
         let mut i = 0;
-        for (quad, bq) in quads.zip(b.chunks_exact(4)) {
-            let (r0, rest) = quad.split_at(n);
-            let (r1, rest) = rest.split_at(n);
-            let (r2, r3) = rest.split_at(n);
+        for bb in blocks {
             let (solved, next) = work.split_at_mut(i);
-            let mut s = [0.0; 4];
-            s.copy_from_slice(bq);
-            let [mut s0, mut s1, mut s2, mut s3] = s;
-            for ((((&l0, &l1), &l2), &l3), &y) in r0.iter().zip(r1).zip(r2).zip(r3).zip(&*solved) {
-                s0 -= l0 * y;
-                s1 -= l1 * y;
-                s2 -= l2 * y;
-                s3 -= l3 * y;
+            let mut s = [0.0; BLOCK];
+            s.copy_from_slice(bb);
+            for (&y, row) in solved.iter().zip(lt.chunks_exact(n)) {
+                if let Some(col) = row
+                    .get(i..i + BLOCK)
+                    .and_then(|c| <&[f64; BLOCK]>::try_from(c).ok())
+                {
+                    for (sk, &lkj) in s.iter_mut().zip(col) {
+                        *sk -= lkj * y;
+                    }
+                }
             }
-            // The 4×4 diagonal block, each row still in ascending `j`.
-            let mut ys = [0.0f64; 4];
-            for (k, (row, mut sk)) in [r0, r1, r2, r3]
-                .into_iter()
-                .zip([s0, s1, s2, s3])
-                .enumerate()
-            {
+            // The 8×8 diagonal block, right-looking: once row kk is
+            // solved, its `y` leaves the rows below it. Row k still
+            // subtracts its terms kk = 0..k in ascending order.
+            for (kk, row) in lt.chunks_exact(n).skip(i).take(BLOCK).enumerate() {
                 let block = row.split_at(i).1;
-                for (&lkj, &yj) in block.iter().zip(&ys).take(k) {
-                    sk -= lkj * yj;
-                }
-                if let (Some(&d), Some(yk)) = (block.get(k), ys.get_mut(k)) {
-                    *yk = sk / d;
+                let (done, below) = s.split_at_mut(kk + 1);
+                if let (Some(&sk), Some(&d), Some(yk)) =
+                    (done.last(), block.get(kk), next.get_mut(kk))
+                {
+                    let y = sk / d;
+                    *yk = y;
+                    for (sj, &ljk) in below.iter_mut().zip(block.iter().skip(kk + 1)) {
+                        *sj -= ljk * y;
+                    }
                 }
             }
-            for (w, y) in next.iter_mut().zip(ys) {
-                *w = y;
-            }
-            i += 4;
+            i += BLOCK;
         }
-        for (row, &bi) in l_rest.chunks_exact(n).zip(b.chunks_exact(4).remainder()) {
+        // The `n mod 8` rows left over, one at a time down column i of Lᵀ.
+        for &bi in b_rest {
             let (solved, next) = work.split_at_mut(i);
             let mut s = bi;
-            for (&lij, &y) in row.iter().zip(&*solved) {
-                s -= lij * y;
+            for (&y, row) in solved.iter().zip(lt.chunks_exact(n)) {
+                s -= row.get(i).copied().unwrap_or(f64::NAN) * y;
             }
-            if let (Some(&d), Some(w)) = (row.get(i), next.first_mut()) {
+            let d = lt.get(i * n + i).copied().unwrap_or(f64::NAN);
+            if let Some(w) = next.first_mut() {
                 *w = s / d;
             }
             i += 1;
         }
-        // L^T x = y, walking column i of L from the diagonal down.
-        for (i, &yi) in work.iter().enumerate().rev() {
+        // Lᵀ x = y, walking row i of Lᵀ from the diagonal right.
+        for ((i, &yi), row) in work.iter().enumerate().zip(lt.chunks_exact(n)).rev() {
             let (head, solved) = out.split_at_mut(i + 1);
-            let mut below = l
-                .chunks_exact(n)
-                .skip(i)
-                .map(|row| row.get(i).copied().unwrap_or(f64::NAN));
-            let d = below.next().unwrap_or(f64::NAN);
+            let (d, right) = match row.split_at(i).1.split_first() {
+                Some((&d, right)) => (d, right),
+                None => (f64::NAN, Default::default()),
+            };
             let mut s = yi;
-            for (lji, &x) in below.zip(&*solved) {
+            for (&lji, &x) in right.iter().zip(&*solved) {
                 s -= lji * x;
             }
             if let Some(xi) = head.last_mut() {
@@ -187,7 +195,40 @@ impl Cholesky {
     /// Log-determinant of `A` (twice the log-sum of the diagonal of `L`);
     /// numerically safer than computing the determinant directly.
     pub fn log_determinant(&self) -> f64 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+        (0..self.lt.rows())
+            .map(|i| self.lt[(i, i)].ln())
+            .sum::<f64>()
+            * 2.0
+    }
+}
+
+/// Moves the strict lower triangle of the row-major `n x n` matrix `m`
+/// onto the strict upper one, transposed, and zeroes it: `L` becomes
+/// `Lᵀ` in the same buffer. Each 8×8 tile below the diagonal goes through
+/// a stack tile, so both sides are read and written a row at a time.
+fn transpose_lower_in_place(m: &mut [f64], n: usize) {
+    let mut tile = [[0.0f64; BLOCK]; BLOCK];
+    for i0 in (0..n).step_by(BLOCK) {
+        let ih = BLOCK.min(n - i0);
+        // Tiles wholly left of the diagonal: j0 + BLOCK <= i0.
+        for j0 in (0..i0).step_by(BLOCK) {
+            for ii in 0..ih {
+                let row = &mut m[(i0 + ii) * n + j0..(i0 + ii) * n + j0 + BLOCK];
+                for (t, &x) in tile.iter_mut().zip(&*row) {
+                    t[ii] = x;
+                }
+                row.fill(0.0);
+            }
+            for (jj, t) in tile.iter().enumerate() {
+                m[(j0 + jj) * n + i0..(j0 + jj) * n + i0 + ih].copy_from_slice(&t[..ih]);
+            }
+        }
+        // The diagonal tile.
+        for i in i0..i0 + ih {
+            for j in i0..i {
+                m[j * n + i] = std::mem::take(&mut m[i * n + j]);
+            }
+        }
     }
 }
 
@@ -290,6 +331,38 @@ mod tests {
     }
 
     #[test]
+    fn factor_is_the_kernels_lower_triangle_at_every_tile_edge() {
+        // The stored Lᵀ goes through 8×8 tiles: cover every partial
+        // last tile, with and without full tiles before it.
+        for n in (0..=17).chain([70]) {
+            let a = Matrix::from_fn(n, n, |i, j| {
+                let s = (0..n)
+                    .map(|k| {
+                        ((i * 7 + k * 3) as f64 * 0.29).cos()
+                            * ((j * 7 + k * 3) as f64 * 0.29).cos()
+                    })
+                    .sum::<f64>();
+                s + if i == j { 1.0 } else { 0.0 }
+            });
+            let mut want = a.clone();
+            rcr_kernels::cholesky_unblocked(
+                want.as_mut_slice(),
+                n,
+                n,
+                1e-13 * a.max_abs().max(1.0),
+            )
+            .unwrap();
+            let l = Cholesky::new(&a).unwrap().factor();
+            for i in 0..n {
+                for j in 0..n {
+                    let w = if j <= i { want[(i, j)] } else { 0.0 };
+                    assert_eq!(l[(i, j)].to_bits(), w.to_bits(), "n = {n} ({i},{j})");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn cholesky_solve_matches_lu() {
         let a = Matrix::from_rows(&[&[6.0, 2.0, 1.0], &[2.0, 5.0, 2.0], &[1.0, 2.0, 4.0]]).unwrap();
         let b = [1.0, -2.0, 3.0];
@@ -324,9 +397,9 @@ mod tests {
             }
             x
         };
-        // Every `n mod 4` tail, one and several row quads, and the n = 128
-        // KKT size of the warm QP.
-        for n in (0..=9).chain([31, 128]) {
+        // Every `n mod 8` tail with and without a full 8-row block before
+        // it, several blocks, and the n = 128 KKT size of the warm QP.
+        for n in (0..=17).chain([31, 128]) {
             // A Gram matrix, not a diagonally dominant one: its factor's
             // off-diagonal terms are large enough that subtracting them in
             // another order changes the rounding.

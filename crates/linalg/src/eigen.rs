@@ -2,7 +2,10 @@ use crate::{LinalgError, Matrix};
 
 /// Eigendecomposition `A = V * diag(λ) * V^T` of a symmetric matrix,
 /// computed by Householder tridiagonalization followed by implicit-shift
-/// QL (the blocked `rcr_kernels::eigh` kernel) at every size.
+/// QL (the `rcr_kernels::eigh` kernel) at every size. The kernel keeps
+/// the reduction's trailing block symmetric and the eigenvectors
+/// transposed while it works, so its inner loops walk rows of contiguous
+/// memory; the answer bits are those of the column-walking formulation.
 ///
 /// The QL deflation test is EISPACK's running-norm test, so exactly
 /// rank-deficient input (a cluster of zero eigenvalues, as in the PSD

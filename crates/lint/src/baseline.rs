@@ -14,7 +14,7 @@
 //! Lexical findings never consult the baseline; they are precise enough
 //! to stay at zero outright.
 
-use crate::diag::{n, obj, s, Diagnostic};
+use crate::diag::{s, Diagnostic};
 use crate::sem::passes::SEMANTIC_RULES;
 use rcr_codec::json::{self, JsonValue};
 use std::path::Path;
@@ -140,31 +140,35 @@ impl Baseline {
     }
 
     /// Renders a baseline accepting exactly the given semantic
-    /// diagnostics (`--write-baseline`). Notes default to the finding's
-    /// message so the file is reviewable as written.
+    /// diagnostics (`--write-baseline`) in the committed file's layout:
+    /// one entry per line, keys in sorted order, `": "` and `", "`
+    /// between them, so a regenerated baseline diffs against the
+    /// committed one line by line. Notes default to the finding's message
+    /// so the file is reviewable as written.
     pub fn render_from(diags: &[Diagnostic]) -> String {
-        let mut entries: Vec<JsonValue> = Vec::new();
+        let mut out = String::from("{\n\"entries\": [\n");
+        let mut first = true;
         for d in diags {
             if !SEMANTIC_RULES.contains(&d.rule) {
                 continue;
             }
-            entries.push(obj(vec![
-                ("rule", s(d.rule)),
-                ("file", s(&d.file)),
-                ("symbol", s(d.symbol.as_deref().unwrap_or(""))),
-                ("note", s(&d.message)),
-            ]));
+            if !first {
+                out.push_str(",\n");
+            }
+            first = false;
+            out.push_str(&format!(
+                "  {{\"file\": {}, \"note\": {}, \"rule\": {}, \"symbol\": {}}}",
+                s(&d.file).render(),
+                s(&d.message).render(),
+                s(d.rule).render(),
+                s(d.symbol.as_deref().unwrap_or("")).render(),
+            ));
         }
-        let doc = obj(vec![
-            ("version", n(1)),
-            ("entries", JsonValue::Array(entries)),
-        ]);
-        // Pretty-ish: one entry per line so review diffs are per-finding.
-        doc.render()
-            .replace("},{", "},\n  {")
-            .replace("\"entries\":[{", "\"entries\":[\n  {")
-            .replace("}]}", "}\n]}")
-            + "\n"
+        if !first {
+            out.push('\n');
+        }
+        out.push_str("],\"version\":1}\n");
+        out
     }
 }
 
@@ -219,6 +223,40 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("not a semantic rule"), "{err}");
+    }
+
+    #[test]
+    fn render_writes_the_committed_entry_layout() {
+        let d = Diagnostic {
+            rule: "panic-reachability",
+            file: "crates/x/src/a.rs".into(),
+            line: 3,
+            message: "can reach a \"panic\"".into(),
+            symbol: Some("A::b".into()),
+        };
+        let text = Baseline::render_from(&[d]);
+        assert_eq!(
+            text,
+            concat!(
+                "{\n\"entries\": [\n",
+                r#"  {"file": "crates/x/src/a.rs", "note": "can reach a \"panic\"", "rule": "panic-reachability", "symbol": "A::b"}"#,
+                "\n],\"version\":1}\n",
+            )
+        );
+        let b = Baseline::parse(&text).unwrap();
+        assert_eq!(
+            b.entries,
+            vec![Entry {
+                rule: "panic-reachability".into(),
+                file: "crates/x/src/a.rs".into(),
+                symbol: "A::b".into(),
+                note: "can reach a \"panic\"".into(),
+            }]
+        );
+        // No findings: an empty list that still parses.
+        let empty = Baseline::render_from(&[]);
+        assert_eq!(empty, "{\n\"entries\": [\n],\"version\":1}\n");
+        assert!(Baseline::parse(&empty).unwrap().entries.is_empty());
     }
 
     #[test]

@@ -211,9 +211,11 @@ mod tests {
     fn baseline_render_is_pinned() {
         assert_eq!(
             crate::Baseline::render_from(&fixed_diags()),
-            r#"{"entries":[
-  {"file":"crates/serve/src/wire.rs","note":"public fn `parse_request` can reach a panic: slice index \"[..]\" at line 7","rule":"panic-reachability","symbol":"parse_request"},
-  {"file":"crates/a\\b.rs","note":"tab\there\nnext — ü","rule":"lock-held-across-send","symbol":""}],"version":1}
+            r#"{
+"entries": [
+  {"file": "crates/serve/src/wire.rs", "note": "public fn `parse_request` can reach a panic: slice index \"[..]\" at line 7", "rule": "panic-reachability", "symbol": "parse_request"},
+  {"file": "crates/a\\b.rs", "note": "tab\there\nnext — ü", "rule": "lock-held-across-send", "symbol": ""}
+],"version":1}
 "#
         );
     }
