@@ -1,4 +1,4 @@
-//! Regression benchmarks backing the committed `BENCH_12.json` baseline:
+//! Regression benchmarks backing the committed `BENCH_13.json` baseline:
 //! the blocked GEMM microkernel against the naive triple loop, the
 //! blocked factorization layer (Cholesky, the PSD projection's
 //! eigensolver, the batched small-matrix path) against its unblocked /
@@ -16,7 +16,7 @@
 //! cargo bench -p rcr-bench --bench bench_kernels --features alloc-count \
 //!     -- --save-json "$PWD/target/bench_current.json"
 //! cargo run -p rcr-bench --bin bench_gate -- \
-//!     target/bench_current.json BENCH_12.json
+//!     target/bench_current.json BENCH_13.json
 //! ```
 //!
 //! All inputs are fixed splitmix64 streams so wall times and (for the
@@ -243,7 +243,9 @@ fn jacobi_sorted(m: Matrix, v: Matrix) -> (Vec<f64>, Matrix) {
 /// `n >= 64`; the gap widens with size as the SYRK trailing update takes
 /// over the flops). The blocked row reads the factor through
 /// `log_determinant()`, which allocates nothing, so its one allocation
-/// is the factor itself.
+/// is the factor itself. `solve/128` is one [`Cholesky::solve_into`] at
+/// the warm QP's KKT size, the x-update of every ADMM iteration; it
+/// allocates nothing.
 fn bench_cholesky(c: &mut Criterion) {
     let mut group = c.benchmark_group("cholesky");
     group.sample_size(30);
@@ -254,6 +256,18 @@ fn bench_cholesky(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("blocked", n), &n, |be, _| {
         be.iter(|| Cholesky::new(black_box(&a)).expect("spd").log_determinant())
+    });
+    let n = 128usize;
+    let ch = Cholesky::new(&spd(n, 0x79)).expect("spd");
+    let b = weights(n, 0x7A);
+    let mut work = vec![0.0; n];
+    let mut x = vec![0.0; n];
+    group.bench_with_input(BenchmarkId::new("solve", n), &n, |be, _| {
+        be.iter(|| {
+            ch.solve_into(black_box(&b), &mut work, &mut x)
+                .expect("sized");
+            x[0]
+        })
     });
     group.finish();
 }

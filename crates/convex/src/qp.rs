@@ -18,12 +18,12 @@
 //!   plus the n×n Cholesky factor, once per factor — the warm cache
 //!   reuses it while `(P, A, ρ, σ)` stay bit-identical;
 //! * an iteration is one n² triangular-solve pair plus O(nnz + n + m) for
-//!   `Aᵀ(ρz − y)`, `A·x` and the vector updates. Both substitutions read
-//!   the factor's stored `Lᵀ` at unit stride; the forward one runs eight
-//!   independent row chains at a time, while the backward one is a
-//!   single chain of n(n−1)/2 dependent subtractions and the largest
-//!   cost of an iteration;
-//! * a residual check adds the dense `P·x` (n²) and an O(nnz) `Aᵀy`.
+//!   `Aᵀ(ρz − y)`, `A·x` and the vector updates. Both substitutions are
+//!   column-oriented over the factor's stored `L`/`Lᵀ` mirror: each of
+//!   their n steps is one division and a contiguous, vectorisable update
+//!   of the rows still unsolved, so neither waits on a long add chain;
+//! * a residual check adds the dense `P·x` (n², `rcr_kernels::gemv`'s
+//!   8×8 tiles) and an O(nnz) `Aᵀy`.
 //!
 //! The products are the add chains of `rcr_kernels::gemv` (gather, seeded
 //! with `-0.0`, columns in order) and `gemv_t` (scatter into `+0.0`, rows

@@ -366,9 +366,10 @@ impl GramFactor {
     /// subtracts only `(-0.0)·y_j` terms. For finite `y_j` such a term
     /// is `-0.0` when `y_j`'s sign bit is clear and `+0.0` otherwise, and
     /// subtracting either leaves every value but a `-0.0` partial sum
-    /// alone, which the first `-0.0` term turns into `+0.0`. So each row
-    /// subtracts one `t`: `-0.0` once some earlier `y_j` has a clear sign
-    /// bit, `+0.0` before. A non-finite `y_j` would make the later dense
+    /// alone, which any `-0.0` term turns into `+0.0`, in whatever order
+    /// the row subtracts its terms (the dense backward pass goes in
+    /// descending `j`). So each row subtracts one `t`: `-0.0` once some
+    /// already solved `y_j` has a clear sign bit, `+0.0` before. A non-finite `y_j` would make the later dense
     /// rows NaN where this path leaves them finite, but either way `w`
     /// holds a non-finite entry, the scatter puts it into `X`, and the
     /// PSD projection that follows fails with the same `NotFinite` error.
@@ -400,8 +401,8 @@ fn zip_into(out: &mut Matrix, a: &Matrix, b: &Matrix, f: impl Fn(f64, f64) -> f6
 }
 
 /// One diagonal substitution pass `y_i = (s_i − t) / l_ii` over `(s_i,
-/// l_ii)` in solve order, where `t` is `-0.0` once an earlier `y_j` has a
-/// clear sign bit and `+0.0` before (see [`GramFactor::solve_into`]).
+/// l_ii)` in solve order, where `t` is `-0.0` once an already solved
+/// `y_j` has a clear sign bit and `+0.0` before (see [`GramFactor::solve_into`]).
 fn substitute<'a>(rows: impl Iterator<Item = (&'a mut f64, &'a f64)>) {
     let mut t = 0.0;
     for (s, &l) in rows {

@@ -45,11 +45,21 @@ fn sdp_and_warm_qp_answers_are_pinned_bit_for_bit() {
         (0xbfd6_510a_1ae0_2154, 1, true, true, true),
         (0xbfd6_6c87_5700_1198, 18, true, false, true),
         (0xbfd6_7ade_5d08_ac32, 17, true, false, true),
-        (0xbfd6_8778_7f06_1170, 16, true, false, false),
+        // Was 0xbfd6_8778_7f06_1170 with the row-oriented backward
+        // substitution.
+        (0xbfd6_8778_7f06_116e, 16, true, false, false),
         (0xbfd6_9698_8a6f_28a4, 17, true, false, true),
         (0xbfd6_a61e_2933_6859, 17, true, false, true),
-        (0xbfd6_b609_5b52_d08e, 17, true, false, true),
+        // Was 0xbfd6_b609_5b52_d08e with the row-oriented backward
+        // substitution.
+        (0xbfd6_b609_5b52_d08d, 17, true, false, true),
     ];
+    // The column-oriented backward substitution subtracts each row's
+    // terms in descending order, a rounding change: the objectives it
+    // moved stay within 4 ulp of their row-oriented pins.
+    for (step, old) in [(6, 0xbfd6_8778_7f06_1170u64), (9, 0xbfd6_b609_5b52_d08e)] {
+        assert!(expected[step].0.abs_diff(old) <= 4, "step {step}");
+    }
     let m = 6;
     let p_at = |step: usize| {
         Matrix::from_fn(m, m, |i, j| {

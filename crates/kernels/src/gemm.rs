@@ -240,13 +240,22 @@ fn tile_edge(
     }
 }
 
+/// Edge of the square block of `a` that [`gemv`] transposes per step:
+/// eight rows (eight independent chains), eight columns at a time.
+const GEMV_TILE: usize = 8;
+
 /// Matrix–vector product `out = a * x` (`a` is `m x n`, row-major).
 ///
 /// Bit-identical to the naive per-row `Σ a[r][c] * x[c]` fold: each output
 /// element is a single sequential chain seeded with `-0.0` (matching std's
 /// `Sum<f64>`, see [`dot`]) with **no** zero-skip (matching
-/// `Matrix::matvec`). Rows are processed in quads so `x` is streamed once
-/// per four rows.
+/// `Matrix::matvec`). Rows go in tiles of eight. Each step loads an 8×8
+/// block a row at a time and transposes it into eight column arrays, so
+/// column `c`'s eight entries form one lane vector; the eight chains then
+/// take their `a[r][c]·x[c]` terms column by column, side by side in SIMD
+/// lanes, each chain still in ascending `c`. The `n mod 8` columns left
+/// over run one at a time, and the `m mod 8` rows left over one [`dot`]
+/// each.
 ///
 /// # Panics
 /// Panics in debug builds when slice lengths disagree with the dimensions.
@@ -255,23 +264,37 @@ pub fn gemv(m: usize, n: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
     debug_assert_eq!(x.len(), n, "gemv: x length mismatch");
     debug_assert_eq!(out.len(), m, "gemv: out length mismatch");
     let mut r = 0;
-    while r + 4 <= m {
-        let a0 = &a[r * n..(r + 1) * n];
-        let a1 = &a[(r + 1) * n..(r + 2) * n];
-        let a2 = &a[(r + 2) * n..(r + 3) * n];
-        let a3 = &a[(r + 3) * n..(r + 4) * n];
-        let (mut s0, mut s1, mut s2, mut s3) = (-0.0f64, -0.0f64, -0.0f64, -0.0f64);
-        for ((((&v0, &v1), &v2), &v3), &xv) in a0.iter().zip(a1).zip(a2).zip(a3).zip(x) {
-            s0 += v0 * xv;
-            s1 += v1 * xv;
-            s2 += v2 * xv;
-            s3 += v3 * xv;
+    while r + GEMV_TILE <= m {
+        let tile = &a[r * n..(r + GEMV_TILE) * n];
+        let mut s = [-0.0f64; GEMV_TILE];
+        let mut c = 0;
+        while c + GEMV_TILE <= n {
+            // Indexed loops, not zips: this is the form LLVM turns into
+            // in-register shuffles and whole-tile SIMD adds.
+            let mut cols = [[0.0f64; GEMV_TILE]; GEMV_TILE];
+            for ri in 0..GEMV_TILE {
+                let mut row = [0.0f64; GEMV_TILE];
+                row.copy_from_slice(&tile[ri * n + c..ri * n + c + GEMV_TILE]);
+                for k in 0..GEMV_TILE {
+                    cols[k][ri] = row[k];
+                }
+            }
+            let mut xs = [0.0f64; GEMV_TILE];
+            xs.copy_from_slice(&x[c..c + GEMV_TILE]);
+            for k in 0..GEMV_TILE {
+                for ri in 0..GEMV_TILE {
+                    s[ri] += cols[k][ri] * xs[k];
+                }
+            }
+            c += GEMV_TILE;
         }
-        out[r] = s0;
-        out[r + 1] = s1;
-        out[r + 2] = s2;
-        out[r + 3] = s3;
-        r += 4;
+        for (k, &xv) in x.iter().enumerate().skip(c) {
+            for (ri, sr) in s.iter_mut().enumerate() {
+                *sr += tile[ri * n + k] * xv;
+            }
+        }
+        out[r..r + GEMV_TILE].copy_from_slice(&s);
+        r += GEMV_TILE;
     }
     while r < m {
         out[r] = dot(&a[r * n..(r + 1) * n], x);

@@ -1,7 +1,6 @@
 use crate::{LinalgError, Matrix};
 
-/// Rows per block of the forward substitution, and the edge of the square
-/// tiles the in-place transpose walks.
+/// The edge of the square tiles the in-place mirror walks.
 const BLOCK: usize = 8;
 
 /// Cholesky factorization `A = L * L^T` of a symmetric positive definite
@@ -12,8 +11,11 @@ const BLOCK: usize = 8;
 /// with [`LinalgError::NotPositiveDefinite`] exactly when `A` is not SPD
 /// (up to a small diagonal tolerance).
 ///
-/// The factor is stored as `Lᵀ`, row-major in one n² buffer, so both
-/// substitutions of [`Cholesky::solve_into`] walk memory at unit stride.
+/// The factor is stored row-major in one n² buffer as `L` in the lower
+/// triangle and its mirror `Lᵀ` in the strict upper one, so row `j` holds
+/// both row `j` of `L` (left of the diagonal) and column `j` of `L` (right
+/// of it): the column-oriented substitutions of [`Cholesky::solve_into`]
+/// read one contiguous half-row per step.
 ///
 /// # Example
 /// ```
@@ -27,8 +29,8 @@ const BLOCK: usize = 8;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cholesky {
-    /// `Lᵀ`: upper triangular, the strict lower triangle zero.
-    lt: Matrix,
+    /// `L` in the lower triangle, `Lᵀ` in the strict upper one.
+    l: Matrix,
 }
 
 impl Cholesky {
@@ -59,21 +61,27 @@ impl Cholesky {
         }
         let n = a.rows();
         let tol = 1e-13 * a.max_abs().max(1.0);
-        let mut lt = a.clone();
-        rcr_kernels::cholesky(lt.as_mut_slice(), n, n, tol)
+        let mut l = a.clone();
+        rcr_kernels::cholesky(l.as_mut_slice(), n, n, tol)
             .map_err(|pivot| LinalgError::NotPositiveDefinite { pivot })?;
         // The kernel leaves `L` in the lower triangle and the input's
         // entries in the strict upper one.
-        transpose_lower_in_place(lt.as_mut_slice(), n);
-        Ok(Cholesky { lt })
+        mirror_lower_in_place(l.as_mut_slice(), n);
+        Ok(Cholesky { l })
     }
 
-    /// The lower-triangular factor `L`, transposed out of the stored `Lᵀ`
-    /// into a new matrix.
+    /// The lower-triangular factor `L`, copied out of the stored mirror
+    /// into a new matrix with a `+0.0` strict upper triangle.
     pub fn factor(&self) -> Matrix {
-        let n = self.lt.rows();
-        let lt = self.lt.as_slice();
-        Matrix::from_fn(n, n, |i, j| lt.get(j * n + i).copied().unwrap_or(0.0))
+        let n = self.l.rows();
+        let l = self.l.as_slice();
+        Matrix::from_fn(n, n, |i, j| {
+            if j <= i {
+                l.get(i * n + j).copied().unwrap_or(0.0)
+            } else {
+                0.0
+            }
+        })
     }
 
     /// Solves `A x = b` via two triangular solves.
@@ -81,7 +89,7 @@ impl Cholesky {
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] when `b.len()` differs from `n`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        let n = self.lt.rows();
+        let n = self.l.rows();
         let mut work = vec![0.0; n];
         let mut x = vec![0.0; n];
         self.solve_into(b, &mut work, &mut x)?;
@@ -89,21 +97,25 @@ impl Cholesky {
     }
 
     /// Allocation-free variant of [`Cholesky::solve`]: writes the solution
-    /// into `out`, using `work` for the forward-substitution intermediate.
-    /// Both buffers must have length `n`; prior contents are ignored
-    /// (every element is written before it is read).
+    /// into `out` and leaves the forward-substitution intermediate `y`
+    /// (`L y = b`) in `work`. Both buffers must have length `n`; prior
+    /// contents are ignored (every element is written before it is read).
     ///
-    /// Every entry is the textbook substitution chain: `y_i = (b_i −
-    /// Σ_{j<i} l_ij·y_j) / l_ii` and `x_i = (y_i − Σ_{j>i} l_ji·x_j) / l_ii`,
-    /// each sum subtracted term by term in ascending `j`. The forward pass
-    /// runs eight rows at a time: their terms `l_ij` for one `j` are the
-    /// contiguous `Lᵀ[j][i..i+8]`, the eight chains over the solved prefix
-    /// are independent, so they hide each other's add latency, and each
-    /// then finishes its own 8×8 triangle in the same ascending order, so
-    /// the bits equal the one-row-at-a-time loop's. The `n mod 8` rows
-    /// left over run one at a time. The backward pass keeps one chain:
-    /// interleaving its rows would reorder the sums. Its terms `l_ji`,
-    /// `j > i`, are row `i` of `Lᵀ`, so that chain is unit-stride too.
+    /// Both substitutions are column-oriented ("axpy" form, Golub & Van
+    /// Loan): once `y_j` (or `x_j`) is known, its column of terms leaves
+    /// every row still unsolved, one contiguous half-row of the stored
+    /// factor per step, so each step is an independent, vectorisable
+    /// update and the critical path is `n` steps of (mul, sub, div).
+    ///
+    /// * Forward, `j` ascending: `y_j = s_j / l_jj`, then
+    ///   `s_i −= l_ij·y_j` for `i > j`. Each `s_i` still subtracts its
+    ///   terms in ascending `j`, so every bit equals the textbook
+    ///   `y_i = (b_i − Σ_{j<i} l_ij·y_j) / l_ii` row loop.
+    /// * Backward, `j` descending: `x_j = s_j / l_jj`, then
+    ///   `s_i −= l_ji·x_j` for `i < j`. Each `x_i = (y_i − Σ_{j>i}
+    ///   l_ji·x_j) / l_ii` subtracts its terms in *descending* `j`, which
+    ///   rounds differently from an ascending row loop (within the usual
+    ///   backward-error bound).
     ///
     /// # Errors
     /// [`LinalgError::DimensionMismatch`] when any slice length differs
@@ -114,7 +126,7 @@ impl Cholesky {
         work: &mut [f64],
         out: &mut [f64],
     ) -> Result<(), LinalgError> {
-        let n = self.lt.rows();
+        let n = self.l.rows();
         if b.len() != n || work.len() != n || out.len() != n {
             return Err(LinalgError::DimensionMismatch {
                 op: "cholesky solve_into",
@@ -124,69 +136,36 @@ impl Cholesky {
         if n == 0 {
             return Ok(());
         }
-        let lt = self.lt.as_slice();
-        // L y = b, rows i..i+8 per block.
-        let blocks = b.chunks_exact(BLOCK);
-        let b_rest = blocks.remainder();
-        let mut i = 0;
-        for bb in blocks {
-            let (solved, next) = work.split_at_mut(i);
-            let mut s = [0.0; BLOCK];
-            s.copy_from_slice(bb);
-            for (&y, row) in solved.iter().zip(lt.chunks_exact(n)) {
-                if let Some(col) = row
-                    .get(i..i + BLOCK)
-                    .and_then(|c| <&[f64; BLOCK]>::try_from(c).ok())
-                {
-                    for (sk, &lkj) in s.iter_mut().zip(col) {
-                        *sk -= lkj * y;
-                    }
+        let rows = || self.l.as_slice().chunks_exact(n);
+        // L y = b: column j of L below the diagonal is row j of the
+        // mirror right of it.
+        work.copy_from_slice(b);
+        for (j, row) in rows().enumerate() {
+            let (done, below) = work.split_at_mut(j + 1);
+            if let (Some(yj), Some((&d, col))) =
+                (done.last_mut(), row.get(j..).and_then(<[f64]>::split_first))
+            {
+                *yj /= d;
+                let y = *yj;
+                for (s, &l) in below.iter_mut().zip(col) {
+                    *s -= l * y;
                 }
             }
-            // The 8×8 diagonal block, right-looking: once row kk is
-            // solved, its `y` leaves the rows below it. Row k still
-            // subtracts its terms kk = 0..k in ascending order.
-            for (kk, row) in lt.chunks_exact(n).skip(i).take(BLOCK).enumerate() {
-                let block = row.split_at(i).1;
-                let (done, below) = s.split_at_mut(kk + 1);
-                if let (Some(&sk), Some(&d), Some(yk)) =
-                    (done.last(), block.get(kk), next.get_mut(kk))
-                {
-                    let y = sk / d;
-                    *yk = y;
-                    for (sj, &ljk) in below.iter_mut().zip(block.iter().skip(kk + 1)) {
-                        *sj -= ljk * y;
-                    }
+        }
+        // Lᵀ x = y: column j of Lᵀ above the diagonal is row j of L left
+        // of it.
+        out.copy_from_slice(work);
+        for (j, row) in rows().enumerate().rev() {
+            let (above, rest) = out.split_at_mut(j);
+            if let (Some(xj), Some((&d, left))) = (
+                rest.first_mut(),
+                row.get(..=j).and_then(<[f64]>::split_last),
+            ) {
+                *xj /= d;
+                let x = *xj;
+                for (s, &l) in above.iter_mut().zip(left) {
+                    *s -= l * x;
                 }
-            }
-            i += BLOCK;
-        }
-        // The `n mod 8` rows left over, one at a time down column i of Lᵀ.
-        for &bi in b_rest {
-            let (solved, next) = work.split_at_mut(i);
-            let mut s = bi;
-            for (&y, row) in solved.iter().zip(lt.chunks_exact(n)) {
-                s -= row.get(i).copied().unwrap_or(f64::NAN) * y;
-            }
-            let d = lt.get(i * n + i).copied().unwrap_or(f64::NAN);
-            if let Some(w) = next.first_mut() {
-                *w = s / d;
-            }
-            i += 1;
-        }
-        // Lᵀ x = y, walking row i of Lᵀ from the diagonal right.
-        for ((i, &yi), row) in work.iter().enumerate().zip(lt.chunks_exact(n)).rev() {
-            let (head, solved) = out.split_at_mut(i + 1);
-            let (d, right) = match row.split_at(i).1.split_first() {
-                Some((&d, right)) => (d, right),
-                None => (f64::NAN, Default::default()),
-            };
-            let mut s = yi;
-            for (&lji, &x) in right.iter().zip(&*solved) {
-                s -= lji * x;
-            }
-            if let Some(xi) = head.last_mut() {
-                *xi = s / d;
             }
         }
         Ok(())
@@ -195,29 +174,26 @@ impl Cholesky {
     /// Log-determinant of `A` (twice the log-sum of the diagonal of `L`);
     /// numerically safer than computing the determinant directly.
     pub fn log_determinant(&self) -> f64 {
-        (0..self.lt.rows())
-            .map(|i| self.lt[(i, i)].ln())
-            .sum::<f64>()
-            * 2.0
+        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 }
 
-/// Moves the strict lower triangle of the row-major `n x n` matrix `m`
-/// onto the strict upper one, transposed, and zeroes it: `L` becomes
-/// `Lᵀ` in the same buffer. Each 8×8 tile below the diagonal goes through
-/// a stack tile, so both sides are read and written a row at a time.
-fn transpose_lower_in_place(m: &mut [f64], n: usize) {
+/// Copies the strict lower triangle of the row-major `n x n` matrix `m`
+/// onto the strict upper one, transposed, and keeps it: `L` gains its
+/// mirror `Lᵀ` in the same buffer. Each 8×8 tile below the diagonal goes
+/// through a stack tile, so both sides are read and written a row at a
+/// time.
+fn mirror_lower_in_place(m: &mut [f64], n: usize) {
     let mut tile = [[0.0f64; BLOCK]; BLOCK];
     for i0 in (0..n).step_by(BLOCK) {
         let ih = BLOCK.min(n - i0);
         // Tiles wholly left of the diagonal: j0 + BLOCK <= i0.
         for j0 in (0..i0).step_by(BLOCK) {
             for ii in 0..ih {
-                let row = &mut m[(i0 + ii) * n + j0..(i0 + ii) * n + j0 + BLOCK];
-                for (t, &x) in tile.iter_mut().zip(&*row) {
+                let row = &m[(i0 + ii) * n + j0..(i0 + ii) * n + j0 + BLOCK];
+                for (t, &x) in tile.iter_mut().zip(row) {
                     t[ii] = x;
                 }
-                row.fill(0.0);
             }
             for (jj, t) in tile.iter().enumerate() {
                 m[(j0 + jj) * n + i0..(j0 + jj) * n + i0 + ih].copy_from_slice(&t[..ih]);
@@ -226,7 +202,7 @@ fn transpose_lower_in_place(m: &mut [f64], n: usize) {
         // The diagonal tile.
         for i in i0..i0 + ih {
             for j in i0..i {
-                m[j * n + i] = std::mem::take(&mut m[i * n + j]);
+                m[j * n + i] = m[i * n + j];
             }
         }
     }
@@ -332,7 +308,7 @@ mod tests {
 
     #[test]
     fn factor_is_the_kernels_lower_triangle_at_every_tile_edge() {
-        // The stored Lᵀ goes through 8×8 tiles: cover every partial
+        // The stored mirror goes through 8×8 tiles: cover every partial
         // last tile, with and without full tiles before it.
         for n in (0..=17).chain([70]) {
             let a = Matrix::from_fn(n, n, |i, j| {
@@ -375,9 +351,11 @@ mod tests {
 
     #[test]
     fn solve_into_matches_the_one_row_reference_bit_for_bit() {
-        // The textbook two-loop substitution, one row at a time.
-        let reference = |ch: &Cholesky, b: &[f64]| -> Vec<f64> {
-            let l = ch.factor();
+        // One row at a time: the forward pass subtracts each row's terms in
+        // ascending `j` (the textbook loop), the backward pass in
+        // descending `j` (the order the column-oriented pass leaves them
+        // in). `ascending` picks the textbook backward order instead.
+        let reference = |l: &Matrix, b: &[f64], ascending: bool| -> (Vec<f64>, Vec<f64>) {
             let n = l.rows();
             let mut y = vec![0.0; n];
             for i in 0..n {
@@ -390,15 +368,21 @@ mod tests {
             let mut x = vec![0.0; n];
             for i in (0..n).rev() {
                 let mut s = y[i];
-                for j in (i + 1)..n {
+                let terms: Vec<usize> = if ascending {
+                    ((i + 1)..n).collect()
+                } else {
+                    ((i + 1)..n).rev().collect()
+                };
+                for j in terms {
                     s -= l[(j, i)] * x[j];
                 }
                 x[i] = s / l[(i, i)];
             }
-            x
+            (y, x)
         };
-        // Every `n mod 8` tail with and without a full 8-row block before
-        // it, several blocks, and the n = 128 KKT size of the warm QP.
+        let inf_norm = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+        // Every `n mod 8` tile edge with and without a full 8×8 tile before
+        // it, several tiles, and the n = 128 KKT size of the warm QP.
         for n in (0..=17).chain([31, 128]) {
             // A Gram matrix, not a diagonally dominant one: its factor's
             // off-diagonal terms are large enough that subtracting them in
@@ -412,6 +396,11 @@ mod tests {
                 a[(i, i)] += 0.05;
             }
             let ch = Cholesky::new(&a).unwrap();
+            let l = ch.factor();
+            // ‖Lᵀ‖∞: the largest absolute column sum of L.
+            let lt_norm = (0..n)
+                .map(|j| (j..n).map(|i| l[(i, j)].abs()).sum::<f64>())
+                .fold(0.0f64, f64::max);
             let smooth: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin() * 3.0).collect();
             let mut special = smooth.clone();
             for (i, v) in special.iter_mut().enumerate() {
@@ -425,12 +414,27 @@ mod tests {
             let zeros = vec![0.0; n];
             let neg_zeros = vec![-0.0; n];
             for b in [&smooth, &special, &zeros, &neg_zeros] {
-                let want = reference(&ch, b);
+                let (want_y, want_x) = reference(&l, b, false);
                 let mut work = vec![7.0; n];
                 let mut got = vec![7.0; n];
                 ch.solve_into(b, &mut work, &mut got).unwrap();
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "n = {n}, b = {b:?}");
+                assert_eq!(bits(&work), bits(&want_y), "forward, n = {n}, b = {b:?}");
+                assert_eq!(bits(&got), bits(&want_x), "backward, n = {n}, b = {b:?}");
+                // The textbook ascending backward order agrees within
+                // the substitution's rounding on finite data.
+                if b.iter().all(|v| v.is_finite()) {
+                    let (_, old_x) = reference(&l, b, true);
+                    let bound = 8.0
+                        * n as f64
+                        * f64::EPSILON
+                        * (lt_norm * inf_norm(&got) + inf_norm(&want_y));
+                    let gap = got
+                        .iter()
+                        .zip(&old_x)
+                        .fold(0.0f64, |m, (p, q)| m.max((p - q).abs()));
+                    assert!(gap <= bound, "n = {n}: |Δx|∞ = {gap:e} > {bound:e}");
+                }
             }
         }
     }
