@@ -322,17 +322,8 @@ impl QpProblem {
     pub(crate) fn p(&self) -> &Matrix {
         &self.p
     }
-    pub(crate) fn q(&self) -> &[f64] {
-        &self.q
-    }
     pub(crate) fn a(&self) -> &SparseRows {
         &self.a
-    }
-    pub(crate) fn l(&self) -> &[f64] {
-        &self.l
-    }
-    pub(crate) fn u(&self) -> &[f64] {
-        &self.u
     }
 
     /// Number of constraint rows.
@@ -549,21 +540,6 @@ impl QpProblem {
     }
 }
 
-/// Convenience: box-constrained QP `min ½xᵀPx + qᵀx, lo ≤ x ≤ hi`.
-///
-/// # Errors
-/// Same as [`QpProblem::new`] / [`QpProblem::solve`].
-pub fn solve_box_qp(
-    p: Matrix,
-    q: Vec<f64>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
-    settings: &QpSettings,
-) -> Result<QpSolution, ConvexError> {
-    let n = q.len();
-    QpProblem::new(p, q, Matrix::identity(n), lo, hi)?.solve(settings)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,13 +595,15 @@ mod tests {
     fn unconstrained_minimum_inside_box() {
         // min ½‖x - c‖² with generous box: solution is c.
         let c = [0.3, -0.2];
-        let sol = solve_box_qp(
+        let sol = QpProblem::new(
             Matrix::identity(2),
             vec![-c[0], -c[1]],
+            Matrix::identity(2),
             vec![-10.0, -10.0],
             vec![10.0, 10.0],
-            &settings(),
         )
+        .unwrap()
+        .solve(&settings())
         .unwrap();
         assert!((sol.x[0] - c[0]).abs() < 1e-5);
         assert!((sol.x[1] - c[1]).abs() < 1e-5);
@@ -634,13 +612,15 @@ mod tests {
     #[test]
     fn active_box_constraint() {
         // min ½‖x - (2,2)‖² s.t. x ≤ 1: solution clamps to (1,1).
-        let sol = solve_box_qp(
+        let sol = QpProblem::new(
             Matrix::identity(2),
             vec![-2.0, -2.0],
+            Matrix::identity(2),
             vec![-QP_INF, -QP_INF],
             vec![1.0, 1.0],
-            &settings(),
         )
+        .unwrap()
+        .solve(&settings())
         .unwrap();
         assert!((sol.x[0] - 1.0).abs() < 1e-5);
         assert!((sol.x[1] - 1.0).abs() < 1e-5);
@@ -685,13 +665,15 @@ mod tests {
     fn psd_but_singular_p_is_accepted() {
         // P = [[1,0],[0,0]] is PSD (not PD); σ regularization handles it.
         let p = Matrix::from_diag(&[1.0, 0.0]);
-        let sol = solve_box_qp(
+        let sol = QpProblem::new(
             p,
             vec![0.0, 1.0],
+            Matrix::identity(2),
             vec![-1.0, -1.0],
             vec![1.0, 1.0],
-            &settings(),
         )
+        .unwrap()
+        .solve(&settings())
         .unwrap();
         // x₂ has linear objective coefficient 1 → slides to its lower bound.
         assert!((sol.x[1] + 1.0).abs() < 1e-4);
@@ -985,13 +967,15 @@ mod tests {
         let n = 8;
         let c: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() * 1.5).collect();
         let q: Vec<f64> = c.iter().map(|v| -v).collect();
-        let sol = solve_box_qp(
+        let sol = QpProblem::new(
             Matrix::identity(n),
             q,
+            Matrix::identity(n),
             vec![0.0; n],
             vec![1.0; n],
-            &settings(),
         )
+        .unwrap()
+        .solve(&settings())
         .unwrap();
         for (xi, ci) in sol.x.iter().zip(&c) {
             assert!((xi - ci.clamp(0.0, 1.0)).abs() < 1e-5);

@@ -2,23 +2,25 @@
 //!
 //! At production scale most solve requests are near-duplicates: the same
 //! cell resolved every scheduling interval with a slowly drifting channel.
-//! This module exploits that redundancy. A [`WarmCache`] fingerprints each
-//! [`crate::qp`] instance — a *structural* hash of the dimensions and
-//! sparsity patterns plus a *quantized coefficient digest* that tolerates
-//! small drift — and keeps a bounded, deterministic LRU of prior
-//! solutions and KKT factorizations. A hit seeds `x`/`y`/`z` from the
-//! nearest cached solution and reuses the condensed KKT Cholesky whenever
-//! `(P, A, ρ, σ)` are bit-identical to the ones it was computed for.
+//! This module exploits that redundancy. A [`WarmCache`] keys each
+//! [`crate::qp`] instance by a *structural* hash of its dimensions and
+//! the sparsity patterns of `P` and `A`, and keeps one entry per
+//! structure in a bounded, deterministic LRU: the last solution of that
+//! structure and its KKT factorization. A hit seeds `x`/`y`/`z` from the
+//! entry and reuses the condensed KKT Cholesky whenever `(P, A, ρ, σ)`
+//! are bit-identical to the ones it was computed for; the solve then
+//! overwrites the entry, so the next instance of that structure starts
+//! from the latest answer.
 //!
 //! Warm solves run to the *same* stopping tolerance as cold solves — the
 //! layer trades iterations, never accuracy. Every lookup, update and
-//! eviction is deterministic (ordered maps, an explicit recency clock, no
-//! hash-iteration order), so the results are a pure function of the
+//! eviction is deterministic (an ordered map, an explicit recency clock,
+//! no hash-iteration order), so the results are a pure function of the
 //! request sequence and the capacity: replaying a trace into a fresh
 //! cache of the same capacity reproduces every solution bit. Results are
 //! *not* independent of the capacity — a different capacity changes
-//! which seed a solve starts from, and with it the last bits of the
-//! answer and the iteration count.
+//! which structures are evicted, so whether a solve starts warm or cold,
+//! and with it the last bits of the answer and the iteration count.
 
 use crate::qp::{QpProblem, QpSettings, QpSolution, QpWarmStart};
 use crate::ConvexError;
@@ -46,9 +48,6 @@ pub struct WarmStats {
 pub struct WarmReport {
     /// A cached entry seeded the iteration.
     pub hit: bool,
-    /// The entry's digest matched the instance exactly (no drift since it
-    /// was stored).
-    pub exact: bool,
     /// A cached factorization was reused verbatim.
     pub factorization_reused: bool,
 }
@@ -83,40 +82,16 @@ impl Hasher {
     fn f64_exact(&mut self, v: f64) {
         self.word((v + 0.0).to_bits());
     }
-    /// Coarse quantization: sign, exponent and the top 5 mantissa bits
-    /// (~3% relative precision), so a slowly drifting coefficient keeps
-    /// its digest until the drift accumulates.
-    fn f64_quantized(&mut self, v: f64) {
-        self.word((v + 0.0).to_bits() >> 47);
-    }
     fn finish(self) -> u64 {
         self.0
     }
 }
 
-fn hash_slice_quantized(h: &mut Hasher, s: &[f64]) {
-    h.usize(s.len());
-    for v in s {
-        h.f64_quantized(*v);
-    }
-}
-
-/// Combined key: structural hash in the high 64 bits (so all digests of
-/// one structure are contiguous under the ordered map), digest in the low.
-fn key_of(structural: u64, digest: u64) -> u128 {
-    (u128::from(structural) << 64) | u128::from(digest)
-}
-
-fn structure_range(structural: u64) -> std::ops::RangeInclusive<u128> {
-    key_of(structural, 0)..=key_of(structural, u64::MAX)
-}
-
 /// What the cache knows a QP by.
 #[derive(Debug, Clone, Copy)]
 struct Fingerprint {
-    /// Structure (dimensions, sparsity patterns of `P` and `A`) in the
-    /// high half, the quantized digest of `(P, A, q, l, u)` in the low.
-    key: u128,
+    /// Dimensions and the sparsity patterns of `P` and `A`: the cache key.
+    structural: u64,
     /// Bit-exact hash of `(P, A)`: a cached factor is reused only on a
     /// match.
     exact_pa: u64,
@@ -127,17 +102,15 @@ struct Fingerprint {
 /// instead of each waiting on the last.
 const P_LANES: usize = 4;
 
-/// All three hashes in one pass over `P` and one over `A`'s nonzeros.
-/// `P` feeds its pattern (packed 64 entries per word), its quantized
-/// entries and its exact bits; `A` feeds each row's length and column
-/// indices, the quantized and the exact nonzero values. `A` keeps no
-/// `±0.0` entry, so a `-0.0` fingerprints like a `+0.0`, and with the
-/// pattern equal, hashing only the nonzeros tells two instances apart
-/// exactly when hashing every entry would.
+/// Both hashes in one pass over `P` and one over `A`'s nonzeros. `P`
+/// feeds its pattern (packed 64 entries per word) and its exact bits;
+/// `A` feeds each row's length and column indices, and the exact nonzero
+/// values. `A` keeps no `±0.0` entry, so a `-0.0` fingerprints like a
+/// `+0.0`, and with the pattern equal, hashing only the nonzeros tells
+/// two instances apart exactly when hashing every entry would.
 fn fingerprint(p: &QpProblem) -> Fingerprint {
     let (pm, a) = (p.p(), p.a());
     let mut s = Hasher::new(0x51_70);
-    let mut d = Hasher::new(0xD1_6E);
     let mut e = Hasher::new(0xEC_AC);
     s.usize(p.num_vars());
     s.usize(p.num_constraints());
@@ -147,10 +120,9 @@ fn fingerprint(p: &QpProblem) -> Fingerprint {
     }
     let mut word = 0u64;
     let mut bit = 0u32;
-    let mut d_lanes: [Hasher; P_LANES] = std::array::from_fn(|k| Hasher::new(0xD1_6E ^ k as u64));
     let mut e_lanes: [Hasher; P_LANES] = std::array::from_fn(|k| Hasher::new(0xEC_AC ^ k as u64));
     for chunk in pm.as_slice().chunks(P_LANES) {
-        for ((&v, dl), el) in chunk.iter().zip(&mut d_lanes).zip(&mut e_lanes) {
+        for (&v, el) in chunk.iter().zip(&mut e_lanes) {
             if v != 0.0 {
                 word |= 1 << bit;
             }
@@ -160,15 +132,13 @@ fn fingerprint(p: &QpProblem) -> Fingerprint {
                 word = 0;
                 bit = 0;
             }
-            dl.f64_quantized(v);
             el.f64_exact(v);
         }
     }
     if bit > 0 {
         s.word(word);
     }
-    for (dl, el) in d_lanes.into_iter().zip(e_lanes) {
-        d.word(dl.finish());
+    for el in e_lanes {
         e.word(el.finish());
     }
     for h in [&mut s, &mut e] {
@@ -179,116 +149,14 @@ fn fingerprint(p: &QpProblem) -> Fingerprint {
         s.usize(row.len());
         for &(c, v) in row {
             s.usize(c);
-            d.f64_quantized(v);
             e.f64_exact(v);
         }
     }
-    hash_slice_quantized(&mut d, p.q());
-    hash_slice_quantized(&mut d, p.l());
-    hash_slice_quantized(&mut d, p.u());
     let structural = s.finish();
     e.word(structural);
     Fingerprint {
-        key: key_of(structural, d.finish()),
+        structural,
         exact_pa: e.finish(),
-    }
-}
-
-/// The cache key alone.
-#[cfg(test)]
-fn fingerprint_qp(p: &QpProblem) -> u128 {
-    fingerprint(p).key
-}
-
-// ---------------------------------------------------------------------------
-// The LRU store
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Slot<T> {
-    last_used: u64,
-    entry: T,
-}
-
-/// A bounded, fully deterministic LRU: an ordered map plus an explicit
-/// recency clock. Eviction removes the entry with the smallest
-/// `(last_used, key)` — no hash-iteration order anywhere, so two runs
-/// that perform the same operations hold byte-identical cache states.
-#[derive(Debug, Clone)]
-struct Lru<T> {
-    map: BTreeMap<u128, Slot<T>>,
-    capacity: usize,
-}
-
-impl<T> Lru<T> {
-    fn new(capacity: usize) -> Self {
-        Lru {
-            map: BTreeMap::new(),
-            capacity,
-        }
-    }
-
-    /// The best entry for `structural`: an exact digest match when
-    /// present, otherwise the most recently used entry of the same
-    /// structure ("nearest" in the drifting-trace sense). Returns the
-    /// full key and whether the match was exact.
-    fn lookup(&self, key: u128, structural_lo: u128, structural_hi: u128) -> Option<(u128, bool)> {
-        if self.map.contains_key(&key) {
-            return Some((key, true));
-        }
-        self.map
-            .range(structural_lo..=structural_hi)
-            .max_by_key(|(k, slot)| (slot.last_used, **k))
-            .map(|(k, _)| (*k, false))
-    }
-
-    fn touch(&mut self, key: u128, clock: u64) -> Option<&mut T> {
-        self.map.get_mut(&key).map(|slot| {
-            slot.last_used = clock;
-            &mut slot.entry
-        })
-    }
-
-    /// Inserts (or replaces) `key`, evicting the LRU entry if the
-    /// capacity bound is exceeded. Returns the number of evictions.
-    fn insert(&mut self, key: u128, entry: T, clock: u64) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        self.map.insert(
-            key,
-            Slot {
-                last_used: clock,
-                entry,
-            },
-        );
-        let mut evicted = 0;
-        while self.map.len() > self.capacity {
-            let victim = self
-                .map
-                .iter()
-                .filter(|(k, _)| **k != key)
-                .min_by_key(|(k, slot)| (slot.last_used, **k))
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    self.map.remove(&k);
-                    evicted += 1;
-                }
-                None => break,
-            }
-        }
-        evicted
-    }
-
-    /// Moves an entry to a new key (the digest changed after a re-solve),
-    /// preserving its recency.
-    fn rekey(&mut self, old: u128, new: u128) {
-        if old != new {
-            if let Some(slot) = self.map.remove(&old) {
-                self.map.insert(new, slot);
-            }
-        }
     }
 }
 
@@ -298,6 +166,8 @@ impl<T> Lru<T> {
 
 #[derive(Debug, Clone)]
 struct QpEntry {
+    /// Recency clock of the last solve that used this entry.
+    last_used: u64,
     warm: QpWarmStart,
     kkt: Cholesky,
     /// Bit-exact hash of `(P, A)` the factorization was computed for.
@@ -342,7 +212,11 @@ struct QpEntry {
 #[derive(Debug, Clone)]
 pub struct WarmCache {
     clock: u64,
-    qp: Lru<QpEntry>,
+    capacity: usize,
+    /// One entry per structural hash. Eviction removes the entry with the
+    /// smallest `(last_used, key)` — no hash-iteration order anywhere, so
+    /// two runs that perform the same operations hold identical states.
+    qp: BTreeMap<u64, QpEntry>,
     stats: WarmStats,
 }
 
@@ -358,7 +232,8 @@ impl WarmCache {
     pub fn new(capacity: usize) -> Self {
         WarmCache {
             clock: 0,
-            qp: Lru::new(capacity),
+            capacity,
+            qp: BTreeMap::new(),
             stats: WarmStats::default(),
         }
     }
@@ -370,7 +245,7 @@ impl WarmCache {
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.qp.map.len()
+        self.qp.len()
     }
 
     /// True when no entries are cached.
@@ -378,18 +253,13 @@ impl WarmCache {
         self.len() == 0
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-
     /// Solves a QP, warm-starting from (and updating) the cache.
     ///
     /// The solution satisfies the same stopping tolerance as a cold
-    /// [`QpProblem::solve`]. A hit seeds `x`/`y`/`z` from the nearest
-    /// cached entry; when `(P, A)` and the penalty parameters are
-    /// bit-identical to the cached factorization's, the KKT Cholesky is
-    /// reused too and the solve performs no factorization at all.
+    /// [`QpProblem::solve`]. A hit seeds `x`/`y`/`z` from the entry of
+    /// the instance's structure; when `(P, A)` and the penalty parameters
+    /// are bit-identical to the cached factorization's, the KKT Cholesky
+    /// is reused too and the solve performs no factorization at all.
     ///
     /// # Errors
     /// Those of [`QpProblem::solve`]; a failing warm seed falls back to a
@@ -399,123 +269,83 @@ impl WarmCache {
         problem: &QpProblem,
         settings: &QpSettings,
     ) -> Result<(QpSolution, WarmReport), ConvexError> {
-        let Fingerprint { key, exact_pa } = fingerprint(problem);
-        let structural = (key >> 64) as u64;
-        let clock = self.tick();
-        let mut report = WarmReport::default();
-
-        let found = self.qp.lookup(
-            key,
-            *structure_range(structural).start(),
-            *structure_range(structural).end(),
-        );
-        if let Some((hit_key, exact)) = found {
-            report.hit = true;
-            report.exact = exact;
-            self.stats.hits += 1;
-            // Borrow the entry immutably via a clone of the small parts we
-            // need; the factor itself is never cloned.
-            let (warm, factor_ok) = {
-                // Entry exists: lookup returned its key.
-                let Some(entry) = self.qp.touch(hit_key, clock) else {
-                    return Err(ConvexError::InvalidParameter(
-                        "warm cache entry vanished (internal invariant)".into(),
-                    ));
-                };
-                let factor_ok = entry.exact_pa == exact_pa
-                    && entry.rho.to_bits() == settings.rho.to_bits()
-                    && entry.sigma.to_bits() == settings.sigma.to_bits();
-                (entry.warm.clone(), factor_ok)
-            };
-            if factor_ok {
-                self.stats.factorization_reuses += 1;
-                report.factorization_reused = true;
-                // Split borrow: clone nothing, solve against the stored factor.
-                let sol = {
-                    let Some(entry) = self.qp.touch(hit_key, clock) else {
-                        return Err(ConvexError::InvalidParameter(
-                            "warm cache entry vanished (internal invariant)".into(),
-                        ));
-                    };
-                    match problem.solve_with(settings, Some(&warm), Some(&entry.kkt)) {
-                        Ok(sol) => sol,
-                        // A stale seed (large drift) can stall; retry cold
-                        // with the same factorization before giving up.
-                        Err(ConvexError::NonConvergence { .. }) => {
-                            problem.solve_with(settings, None, Some(&entry.kkt))?
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
-                self.store_qp(hit_key, key, &sol, problem, None, exact_pa, settings)?;
-                return Ok((sol, report));
-            }
-            // Coefficients of (P, A) drifted: refactorize, keep the seed.
-            let factor = problem.kkt_factor(settings.rho, settings.sigma)?;
-            let sol = match problem.solve_with(settings, Some(&warm), Some(&factor)) {
-                Ok(sol) => sol,
-                Err(ConvexError::NonConvergence { .. }) => {
-                    problem.solve_with(settings, None, Some(&factor))?
+        let Fingerprint {
+            structural,
+            exact_pa,
+        } = fingerprint(problem);
+        self.clock += 1;
+        let Some(entry) = self.qp.get_mut(&structural) else {
+            // Miss: cold solve, then populate.
+            self.stats.misses += 1;
+            let kkt = problem.kkt_factor(settings.rho, settings.sigma)?;
+            let sol = problem.solve_with(settings, None, Some(&kkt))?;
+            let warm = QpWarmStart::from_solution(problem, &sol)?;
+            if self.capacity > 0 {
+                if self.qp.len() == self.capacity {
+                    self.evict_lru();
                 }
-                Err(e) => return Err(e),
-            };
-            self.store_qp(
-                hit_key,
-                key,
-                &sol,
-                problem,
-                Some(factor),
-                exact_pa,
-                settings,
-            )?;
-            return Ok((sol, report));
+                let entry = QpEntry {
+                    last_used: self.clock,
+                    warm,
+                    kkt,
+                    exact_pa,
+                    rho: settings.rho,
+                    sigma: settings.sigma,
+                };
+                self.qp.insert(structural, entry);
+            }
+            return Ok((sol, WarmReport::default()));
+        };
+        entry.last_used = self.clock;
+        self.stats.hits += 1;
+        let factorization_reused = entry.exact_pa == exact_pa
+            && entry.rho.to_bits() == settings.rho.to_bits()
+            && entry.sigma.to_bits() == settings.sigma.to_bits();
+        // Coefficients of (P, A) or the penalties drifted: refactorize,
+        // keep the seed.
+        let fresh = if factorization_reused {
+            self.stats.factorization_reuses += 1;
+            None
+        } else {
+            Some(problem.kkt_factor(settings.rho, settings.sigma)?)
+        };
+        let kkt = fresh.as_ref().unwrap_or(&entry.kkt);
+        let sol = match problem.solve_with(settings, Some(&entry.warm), Some(kkt)) {
+            Ok(sol) => sol,
+            // A stale seed (large drift) can stall; retry cold with the
+            // same factorization before giving up.
+            Err(ConvexError::NonConvergence { .. }) => {
+                problem.solve_with(settings, None, Some(kkt))?
+            }
+            Err(e) => return Err(e),
+        };
+        entry.warm = QpWarmStart::from_solution(problem, &sol)?;
+        if let Some(kkt) = fresh {
+            entry.kkt = kkt;
+            entry.exact_pa = exact_pa;
+            entry.rho = settings.rho;
+            entry.sigma = settings.sigma;
         }
-
-        // Miss: cold solve, then populate.
-        self.stats.misses += 1;
-        let factor = problem.kkt_factor(settings.rho, settings.sigma)?;
-        let sol = problem.solve_with(settings, None, Some(&factor))?;
-        let warm = QpWarmStart::from_solution(problem, &sol)?;
-        let evicted = self.qp.insert(
-            key,
-            QpEntry {
-                warm,
-                kkt: factor,
-                exact_pa,
-                rho: settings.rho,
-                sigma: settings.sigma,
+        Ok((
+            sol,
+            WarmReport {
+                hit: true,
+                factorization_reused,
             },
-            clock,
-        );
-        self.stats.evictions += evicted;
-        Ok((sol, report))
+        ))
     }
 
-    /// Refreshes the hit entry with the new solution (and optionally a new
-    /// factorization), then moves it under the instance's current key.
-    #[allow(clippy::too_many_arguments)]
-    fn store_qp(
-        &mut self,
-        hit_key: u128,
-        new_key: u128,
-        sol: &QpSolution,
-        problem: &QpProblem,
-        new_factor: Option<Cholesky>,
-        exact_pa: u64,
-        settings: &QpSettings,
-    ) -> Result<(), ConvexError> {
-        let warm = QpWarmStart::from_solution(problem, sol)?;
-        if let Some(entry) = self.qp.map.get_mut(&hit_key) {
-            entry.entry.warm = warm;
-            if let Some(f) = new_factor {
-                entry.entry.kkt = f;
-                entry.entry.exact_pa = exact_pa;
-                entry.entry.rho = settings.rho;
-                entry.entry.sigma = settings.sigma;
-            }
+    /// Removes the least recently used entry.
+    fn evict_lru(&mut self) {
+        let victim = self
+            .qp
+            .iter()
+            .min_by_key(|(k, entry)| (entry.last_used, **k))
+            .map(|(k, _)| *k);
+        if let Some(k) = victim {
+            self.qp.remove(&k);
+            self.stats.evictions += 1;
         }
-        self.qp.rekey(hit_key, new_key);
-        Ok(())
     }
 }
 
@@ -524,20 +354,29 @@ mod tests {
     use super::*;
     use rcr_linalg::Matrix;
 
-    fn qp_instance(shift: f64) -> QpProblem {
-        // Dense SPD P (a channel-Gram-like matrix): channel perturbations
-        // keep the sparsity pattern.
+    /// A 4-variable box QP with an SPD `P` (a channel-Gram-like matrix)
+    /// that keeps the entries within `band` of the diagonal, its diagonal
+    /// raised by `p_drift`, and `q` shifted by `shift`. Channel
+    /// perturbations keep the sparsity pattern.
+    fn qp_banded(band: usize, shift: f64, p_drift: f64) -> QpProblem {
         let n = 4;
         let p = Matrix::from_fn(n, n, |i, j| {
             let base = 1.0 / (1.0 + i.abs_diff(j) as f64);
             if i == j {
-                base + 2.0
-            } else {
+                base + 2.0 + p_drift
+            } else if i.abs_diff(j) <= band {
                 base
+            } else {
+                0.0
             }
         });
         let q: Vec<f64> = (0..n).map(|i| -1.0 + shift + 0.1 * i as f64).collect();
         QpProblem::new(p, q, Matrix::identity(n), vec![-1.0; n], vec![1.0; n]).unwrap()
+    }
+
+    /// `qp_banded` with a dense `P`.
+    fn qp_instance(shift: f64) -> QpProblem {
+        qp_banded(3, shift, 0.0)
     }
 
     #[test]
@@ -548,7 +387,7 @@ mod tests {
         let (cold, r0) = cache.solve_qp(&prob, &s).unwrap();
         assert!(!r0.hit);
         let (warm, r1) = cache.solve_qp(&prob, &s).unwrap();
-        assert!(r1.hit && r1.exact && r1.factorization_reused);
+        assert!(r1.hit && r1.factorization_reused);
         assert!((cold.objective - warm.objective).abs() < 1e-6);
         assert!(warm.iterations <= cold.iterations);
         let st = cache.stats();
@@ -622,11 +461,67 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_distinguish_structure_but_tolerate_tiny_drift() {
-        let a = qp_instance(0.0);
-        let b = qp_instance(0.0);
-        assert_eq!(fingerprint_qp(&a), fingerprint_qp(&b));
-        // Different dimension → different structural half.
+    fn one_entry_per_structure() {
+        let s = QpSettings::default();
+        // One structure: q drifts every step, step 3 repeats step 2
+        // exactly, and P drifts from step 5 on (hits that refactorize).
+        let mut cache = WarmCache::new(8);
+        for step in 0..8 {
+            let t = if step == 3 { 2 } else { step };
+            let p_drift = if step >= 5 { 1e-3 * step as f64 } else { 0.0 };
+            let (_, rep) = cache
+                .solve_qp(&qp_banded(3, 1e-3 * t as f64, p_drift), &s)
+                .unwrap();
+            assert_eq!(rep.hit, step > 0, "step {step}");
+            assert_eq!(
+                rep.factorization_reused,
+                (1..=4).contains(&step),
+                "step {step}"
+            );
+            assert_eq!(cache.len(), 1, "step {step}");
+        }
+        // Two interleaved structures of one size (dense and tridiagonal
+        // `P`): each hit must start from its own structure's last answer,
+        // exactly as in a cache that holds that structure alone.
+        let mut shared = WarmCache::new(8);
+        let mut alone = [WarmCache::new(8), WarmCache::new(8)];
+        for step in 0..6 {
+            let shift = 1e-3 * step as f64;
+            let probs = [qp_banded(3, shift, 0.0), qp_banded(1, -shift, 0.0)];
+            for (prob, own) in probs.iter().zip(&mut alone) {
+                let (got, rep) = shared.solve_qp(prob, &s).unwrap();
+                let (want, _) = own.solve_qp(prob, &s).unwrap();
+                assert_eq!(rep.hit, step > 0, "step {step}");
+                assert_eq!(
+                    (got.objective.to_bits(), got.iterations),
+                    (want.objective.to_bits(), want.iterations),
+                    "step {step}"
+                );
+            }
+            assert_eq!(shared.len(), 2, "step {step}");
+        }
+    }
+
+    #[test]
+    fn fingerprints_separate_structures_and_ignore_the_sign_of_zero() {
+        let f = fingerprint(&qp_instance(0.0));
+        let g = fingerprint(&qp_instance(0.0));
+        assert_eq!((f.structural, f.exact_pa), (g.structural, g.exact_pa));
+        // Drift in q or in P's values keeps the structure; only the
+        // latter changes the exact hash.
+        let q_drift = fingerprint(&qp_instance(1e-3));
+        assert_eq!(
+            (f.structural, f.exact_pa),
+            (q_drift.structural, q_drift.exact_pa)
+        );
+        let p_drift = fingerprint(&qp_banded(3, 0.0, 1e-3));
+        assert_eq!(f.structural, p_drift.structural);
+        assert_ne!(f.exact_pa, p_drift.exact_pa);
+        // Another sparsity pattern or dimension is another structure.
+        assert_ne!(
+            f.structural,
+            fingerprint(&qp_banded(1, 0.0, 0.0)).structural
+        );
         let other = QpProblem::new(
             Matrix::identity(3),
             vec![0.0; 3],
@@ -635,61 +530,50 @@ mod tests {
             vec![1.0; 3],
         )
         .unwrap();
-        assert_ne!(fingerprint_qp(&a) >> 64, fingerprint_qp(&other) >> 64);
-        // -0.0 and 0.0 hash identically.
-        let neg = QpProblem::new(
-            Matrix::identity(2),
-            vec![-0.0, 0.0],
-            Matrix::identity(2),
-            vec![0.0, 0.0],
-            vec![1.0, 1.0],
-        )
-        .unwrap();
-        let pos = QpProblem::new(
-            Matrix::identity(2),
-            vec![0.0, 0.0],
-            Matrix::identity(2),
-            vec![0.0, 0.0],
-            vec![1.0, 1.0],
-        )
-        .unwrap();
-        assert_eq!(fingerprint_qp(&neg), fingerprint_qp(&pos));
+        assert_ne!(f.structural, fingerprint(&other).structural);
+        // A -0.0 in P hashes like a 0.0 in both hashes.
+        let with_p = |off: f64| {
+            let p = Matrix::from_rows(&[&[1.0, off], &[off, 1.0]]).unwrap();
+            let prob = QpProblem::new(
+                p,
+                vec![0.0; 2],
+                Matrix::identity(2),
+                vec![0.0; 2],
+                vec![1.0; 2],
+            )
+            .unwrap();
+            let h = fingerprint(&prob);
+            (h.structural, h.exact_pa)
+        };
+        assert_eq!(with_p(-0.0), with_p(0.0));
     }
 
     #[test]
     fn constraint_fingerprint_follows_the_nonzeros_of_a() {
         let with_a = |a: Matrix| {
-            let p = qp_instance(0.0);
-            let n = p.num_vars();
-            let prob = QpProblem::new(
-                p.p().clone(),
-                p.q().to_vec(),
-                a,
-                vec![-1.0; n],
-                vec![1.0; n],
-            )
-            .unwrap();
+            let p = qp_instance(0.0).p().clone();
+            let prob = QpProblem::new(p, vec![-1.0; 4], a, vec![-1.0; 4], vec![1.0; 4]).unwrap();
             fingerprint(&prob)
         };
         let base = Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.0 });
-        // An explicit -0.0 is no nonzero: key and exact hash both agree.
+        // An explicit -0.0 is no nonzero: both hashes agree.
         let mut neg_zero = base.clone();
         neg_zero[(0, 3)] = -0.0;
         let (f, g) = (with_a(base.clone()), with_a(neg_zero));
-        assert_eq!((f.key, f.exact_pa), (g.key, g.exact_pa));
+        assert_eq!((f.structural, f.exact_pa), (g.structural, g.exact_pa));
         // Moving a nonzero (same values, other column) changes the
-        // structural half, and with it the exact hash.
+        // structural hash, and with it the exact hash.
         let mut moved = base.clone();
         moved[(2, 2)] = 0.0;
         moved[(2, 3)] = 1.0;
         let h = with_a(moved);
-        assert_ne!(f.key >> 64, h.key >> 64);
+        assert_ne!(f.structural, h.structural);
         assert_ne!(f.exact_pa, h.exact_pa);
         // A changed value keeps the structure but not the exact hash.
         let mut scaled = base;
         scaled[(1, 1)] = 2.0;
         let k = with_a(scaled);
-        assert_eq!(f.key >> 64, k.key >> 64);
+        assert_eq!(f.structural, k.structural);
         assert_ne!(f.exact_pa, k.exact_pa);
     }
 }

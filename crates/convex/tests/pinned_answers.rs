@@ -37,22 +37,22 @@ fn sdp_and_warm_qp_answers_are_pinned_bit_for_bit() {
 
     // A drifting 6-variable QP: q drifts every step, step 3 repeats step 2
     // exactly, and P drifts from step 6 on (a hit that must refactorize).
-    // Per step: (objective bits, iterations, hit, exact, factorization_reused).
-    let expected: [(u64, usize, bool, bool, bool); 10] = [
-        (0xbfd6_3723_4957_379e, 25, false, false, false),
-        (0xbfd6_43e3_e4c8_cba5, 17, true, false, true),
-        (0xbfd6_510a_1ae0_2153, 17, true, false, true),
-        (0xbfd6_510a_1ae0_2154, 1, true, true, true),
-        (0xbfd6_6c87_5700_1198, 18, true, false, true),
-        (0xbfd6_7ade_5d08_ac32, 17, true, false, true),
+    // Per step: (objective bits, iterations, hit, factorization_reused).
+    let expected: [(u64, usize, bool, bool); 10] = [
+        (0xbfd6_3723_4957_379e, 25, false, false),
+        (0xbfd6_43e3_e4c8_cba5, 17, true, true),
+        (0xbfd6_510a_1ae0_2153, 17, true, true),
+        (0xbfd6_510a_1ae0_2154, 1, true, true),
+        (0xbfd6_6c87_5700_1198, 18, true, true),
+        (0xbfd6_7ade_5d08_ac32, 17, true, true),
         // Was 0xbfd6_8778_7f06_1170 with the row-oriented backward
         // substitution.
-        (0xbfd6_8778_7f06_116e, 16, true, false, false),
-        (0xbfd6_9698_8a6f_28a4, 17, true, false, true),
-        (0xbfd6_a61e_2933_6859, 17, true, false, true),
+        (0xbfd6_8778_7f06_116e, 16, true, false),
+        (0xbfd6_9698_8a6f_28a4, 17, true, true),
+        (0xbfd6_a61e_2933_6859, 17, true, true),
         // Was 0xbfd6_b609_5b52_d08e with the row-oriented backward
         // substitution.
-        (0xbfd6_b609_5b52_d08d, 17, true, false, true),
+        (0xbfd6_b609_5b52_d08d, 17, true, true),
     ];
     // The column-oriented backward substitution subtracts each row's
     // terms in descending order, a rounding change: the objectives it
@@ -92,7 +92,6 @@ fn sdp_and_warm_qp_answers_are_pinned_bit_for_bit() {
             sol.objective.to_bits(),
             sol.iterations,
             rep.hit,
-            rep.exact,
             rep.factorization_reused,
         );
         assert_eq!(got, *want, "step {step}");

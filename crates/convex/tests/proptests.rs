@@ -1,7 +1,7 @@
 //! Property-based invariants of the convex solvers.
 
 use proptest::prelude::*;
-use rcr_convex::qp::{solve_box_qp, QpSettings};
+use rcr_convex::qp::{QpProblem, QpSettings};
 use rcr_linalg::{vector, Matrix};
 
 fn spd(entries: &[f64], n: usize) -> Matrix {
@@ -22,13 +22,15 @@ proptest! {
         q in prop::collection::vec(-2.0f64..2.0, 3),
     ) {
         let p = spd(&entries, 3);
-        let sol = solve_box_qp(
+        let sol = QpProblem::new(
             p.clone(),
             q.clone(),
+            Matrix::identity(3),
             vec![-1.0; 3],
             vec![1.0; 3],
-            &QpSettings::default(),
         )
+        .unwrap()
+        .solve(&QpSettings::default())
         .unwrap();
         // Feasible.
         for &xi in &sol.x {

@@ -14,8 +14,8 @@
 //!   across a `send`/callback?
 //! * **determinism-taint** — can a nondeterminism source (wall clock,
 //!   `available_parallelism`, thread identity, hash iteration) flow
-//!   into values returned by `BatchSolve` impls or public solver entry
-//!   points (⇒ non-reproducible verifier verdicts)?
+//!   into values returned by `solve_item`/`solve_batch` methods or public
+//!   solver entry points (⇒ non-reproducible verifier verdicts)?
 //!
 //! The parser is deliberately *not* a full Rust front end (no `syn`,
 //! std-only): it recovers fn items, impl/trait blocks, call and method

@@ -18,7 +18,6 @@ use crate::QosError;
 use rcr_minlp::{BnbSettings, MinlpError, RelaxableProblem, Relaxation};
 use rcr_pso::discrete::{minimize_mixed, DiscreteStrategy, VarSpec};
 use rcr_pso::swarm::PsoSettings;
-use rcr_runtime::BatchSolve;
 
 /// An RRA problem instance.
 #[derive(Debug, Clone)]
@@ -164,7 +163,7 @@ impl RraProblem {
         workers: usize,
     ) -> Vec<Result<RraSolution, QosError>> {
         let workers = rcr_runtime::resolve_workers(workers);
-        self.solve_batch(assignments, workers)
+        rcr_runtime::parallel_map(assignments, workers, |_, owners| self.evaluate(owners))
     }
 
     /// The relaxation bound for an assignment sub-box: each RB may go to
@@ -201,19 +200,6 @@ impl RraProblem {
             sol.total_rate_bps,
             owners.iter().map(|&u| u as f64).collect(),
         ))
-    }
-}
-
-/// Candidate-assignment evaluation is the batch-solve workload of the
-/// QoS layer: each item is an independent inner water-filling solve, so
-/// the runtime's generic fan-out applies directly. [`RraProblem::evaluate_batch`]
-/// routes through this impl.
-impl BatchSolve for RraProblem {
-    type Item = Vec<usize>;
-    type Output = Result<RraSolution, QosError>;
-
-    fn solve_item(&self, _index: usize, owners: &Vec<usize>) -> Self::Output {
-        self.evaluate(owners)
     }
 }
 

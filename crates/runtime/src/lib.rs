@@ -173,31 +173,6 @@ where
     });
 }
 
-/// A batch of independent subproblems solvable across a worker pool.
-///
-/// Implementors describe how to solve *one* item; [`BatchSolve::solve_batch`]
-/// provides ordered deterministic fan-out over a whole batch.
-pub trait BatchSolve {
-    /// One independent work item.
-    type Item: Sync;
-    /// The per-item result.
-    type Output: Send;
-
-    /// Solves a single item. `index` is the item's position in the batch,
-    /// available for deriving per-item RNG streams via [`seed_stream`].
-    fn solve_item(&self, index: usize, item: &Self::Item) -> Self::Output;
-
-    /// Solves every item, fanning out across `workers` (a count as
-    /// resolved by [`resolve_workers`]); results are returned in batch
-    /// order regardless of scheduling.
-    fn solve_batch(&self, items: &[Self::Item], workers: usize) -> Vec<Self::Output>
-    where
-        Self: Sync,
-    {
-        parallel_map(items, workers, |i, item| self.solve_item(i, item))
-    }
-}
-
 type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed set of long-lived worker threads reused across batches.
@@ -324,19 +299,6 @@ impl WorkerPool {
         pairs.sort_unstable_by_key(|(i, _)| *i);
         pairs.into_iter().map(|(_, r)| r).collect()
     }
-
-    /// Solves a [`BatchSolve`] batch on this pool, returning outputs in
-    /// batch order — [`BatchSolve::solve_batch`] without per-call thread
-    /// spawn. The solver is shared by `Arc` because the pool threads
-    /// outlive the call.
-    pub fn solve_batch_on<S>(&self, solver: Arc<S>, items: Vec<S::Item>) -> Vec<S::Output>
-    where
-        S: BatchSolve + Send + Sync + 'static,
-        S::Item: Send + 'static,
-        S::Output: 'static,
-    {
-        self.execute(items, move |i, item| solver.solve_item(i, item))
-    }
 }
 
 impl Drop for WorkerPool {
@@ -449,42 +411,5 @@ mod tests {
         assert_eq!(pool.workers(), 1);
         let out = pool.execute(vec![1i32, 2, 3], |i, &x| x + i as i32);
         assert_eq!(out, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn pool_solves_batch_solve_batches() {
-        struct Cube;
-        impl BatchSolve for Cube {
-            type Item = i64;
-            type Output = i64;
-            fn solve_item(&self, index: usize, item: &i64) -> i64 {
-                item * item * item - index as i64
-            }
-        }
-        let pool = WorkerPool::new(3);
-        let solver = Arc::new(Cube);
-        let items: Vec<i64> = (-10..10).collect();
-        let serial = Cube.solve_batch(&items, 1);
-        let pooled = pool.solve_batch_on(Arc::clone(&solver), items.clone());
-        assert_eq!(serial, pooled);
-        // Reuse: a second batch on the same handle.
-        let again = pool.solve_batch_on(solver, items);
-        assert_eq!(serial, again);
-    }
-
-    #[test]
-    fn batch_solve_matches_serial() {
-        struct Square;
-        impl BatchSolve for Square {
-            type Item = i64;
-            type Output = i64;
-            fn solve_item(&self, index: usize, item: &i64) -> i64 {
-                *item * *item + index as i64
-            }
-        }
-        let items: Vec<i64> = (-20..20).collect();
-        let serial = Square.solve_batch(&items, 1);
-        let parallel = Square.solve_batch(&items, 6);
-        assert_eq!(serial, parallel);
     }
 }

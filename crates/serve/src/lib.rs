@@ -15,7 +15,7 @@
 //!          └────────────────┼────────────────┘
 //!                           │ dynamic batcher (priority + deadlines)
 //!                           ▼
-//!              BatchSolve fan-out on WorkerPool
+//!              ordered fan-out on WorkerPool
 //!                           │
 //!                           ▼
 //!            SolveResponse {outcome, queue/solve timing}

@@ -5,8 +5,8 @@
 //! in-process [`Client`], or TCP connection threads in [`crate::wire`])
 //! enqueue under a mutex and wake the batcher through a condvar. The
 //! batcher sweeps expired entries, drains the next ready batch, and fans
-//! it across a persistent [`rcr_runtime::WorkerPool`] via the same
-//! [`rcr_runtime::BatchSolve`] seam the offline batch APIs use.
+//! it across a persistent [`rcr_runtime::WorkerPool`], one
+//! `Engine::solve_item` call per request.
 //!
 //! **Determinism.** A request's solution depends only on its own problem,
 //! solver, and seed — never on batch composition, lane timing, or worker
@@ -31,7 +31,7 @@ use rcr_minlp::BnbSettings;
 use rcr_pso::swarm::PsoSettings;
 use rcr_qos::rra::{self, RraProblem, RraSolution};
 use rcr_qos::{QosClass, QosError};
-use rcr_runtime::{seed_stream, BatchSolve, WorkerPool};
+use rcr_runtime::{seed_stream, WorkerPool};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -72,7 +72,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Solver dispatch shared by every batch; `BatchSolve::solve_item` is the
+/// Solver dispatch shared by every batch; `Engine::solve_item` is the
 /// unit the pool fans out.
 #[derive(Debug)]
 struct Engine {
@@ -90,6 +90,14 @@ struct WorkItem {
 }
 
 impl Engine {
+    /// Solves one request and times it.
+    fn solve_item(&self, item: &WorkItem) -> (Result<RraSolution, QosError>, Duration) {
+        // rcr-lint: allow(determinism-taint, reason = "per-item wall time is deadline telemetry; the solution payload in .0 is clock-free")
+        let start = Instant::now();
+        let result = self.solve_one(item);
+        (result, start.elapsed())
+    }
+
     fn solve_one(&self, item: &WorkItem) -> Result<RraSolution, QosError> {
         if let Some(cache) = &self.reuse {
             if reuse::cacheable(item.solver) {
@@ -128,18 +136,6 @@ impl Engine {
                 rra::solve_pso(&item.problem, &settings)
             }
         }
-    }
-}
-
-impl BatchSolve for Engine {
-    type Item = WorkItem;
-    type Output = (Result<RraSolution, QosError>, Duration);
-
-    fn solve_item(&self, _index: usize, item: &WorkItem) -> Self::Output {
-        // rcr-lint: allow(determinism-taint, reason = "per-item wall time is deadline telemetry; the solution payload in .0 is clock-free")
-        let start = Instant::now();
-        let result = self.solve_one(item);
-        (result, start.elapsed())
     }
 }
 
@@ -473,7 +469,9 @@ fn solve_batch(shared: &Shared, entries: Vec<Queued<Job>>) {
     }
 
     let engine = Arc::clone(&shared.engine);
-    let outputs = shared.pool.solve_batch_on(engine, items);
+    let outputs = shared
+        .pool
+        .execute(items, move |_, item| engine.solve_item(item));
 
     let completed_at = Instant::now();
     let mut metrics = shared

@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         chi.to_bits()
     );
 
-    // --- 3. QoS: batched candidate scoring through the BatchSolve seam.
+    // --- 3. QoS: batched candidate scoring through `evaluate_batch`.
     let scenario = Scenario::generate(
         &ScenarioConfig {
             users: 4,

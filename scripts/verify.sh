@@ -28,9 +28,11 @@ for arg in "$@"; do
 done
 
 echo "== shell script syntax ==" >&2
-# The A/B protocol script is run by hand, so nothing else would notice
-# a syntax error in it.
-bash -n scripts/ab_pairs.sh
+# The A/B protocol and experiment scripts are run by hand, so nothing
+# else would notice a syntax error in them.
+for script in scripts/*.sh; do
+  bash -n "$script"
+done
 
 echo "== cargo build --release ==" >&2
 cargo build --release
