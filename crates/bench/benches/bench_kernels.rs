@@ -468,12 +468,14 @@ fn bench_bnb(c: &mut Criterion) {
 /// Warm-started vs cold solves of a drifting box QP — the slowly-varying
 /// channel workload the warm-start cache exists for. `(P, A)` stay fixed
 /// while the linear term takes a fresh 1e-5-scale perturbation every
-/// iteration, so each warm solve is a near-neighbor cache hit: the KKT
-/// Cholesky is reused bit-for-bit and ADMM starts from the previous
-/// optimum instead of zero. The baseline pins a `>= 2.5x` warm-over-cold
-/// speedup. Allocation counts stay unpinned: the per-instance ADMM
-/// iteration count (and with it transient workspace traffic) varies with
-/// the drift draw.
+/// iteration, so each warm solve is a near-neighbor cache hit: ADMM
+/// starts from the previous optimum and from the ρ that solve adapted
+/// to, reusing the KKT Cholesky at that ρ bit-for-bit. A cold solve
+/// starts at the default ρ from zero and adapts too, refactoring each
+/// time ρ moves. The baseline pins a `>= 2.5x` warm-over-cold speedup.
+/// Allocation counts stay unpinned: the per-instance ADMM iteration
+/// count (and with it transient workspace traffic) varies with the drift
+/// draw.
 fn bench_warm(c: &mut Criterion) {
     const N: usize = 128;
     let g = Matrix::from_vec(N, N, weights(N * N, 0x44)).expect("gram seed");

@@ -15,8 +15,9 @@
 //!   solved as an SDP.
 //! * [`warm`] — a warm-start and solution-reuse cache for the [`qp`]
 //!   solver: fingerprints instances, keeps a bounded deterministic LRU
-//!   of prior solutions and KKT factorizations, and re-solves drifting
-//!   instances in a handful of iterations.
+//!   of prior solutions with the adapted ADMM penalty and its KKT
+//!   factorization, and re-solves drifting instances in a handful of
+//!   iterations.
 //!
 //! # Example
 //!

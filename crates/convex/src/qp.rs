@@ -9,14 +9,24 @@
 //!
 //! with `P ⪰ 0`. Equality constraints are rows with `l_i = u_i`; one-sided
 //! constraints use ±[`QP_INF`]. The splitting, residuals and stopping rule
-//! follow the OSQP paper (Stellato et al.), scaled down: the KKT matrix is
-//! factorized once by Cholesky and reused every iteration.
+//! follow the OSQP paper (Stellato et al.), scaled down: the KKT matrix
+//! `P + σI + ρAᵀA` is factorized by Cholesky and reused every iteration
+//! until ρ moves.
+//!
+//! ρ adapts by OSQP's residual-balancing rule. Every 10 iterations, at a
+//! residual check that does not stop, the candidate is
+//! `ρ·√((‖r_prim‖∞ / max(‖Ax‖∞, ‖z‖∞)) / (‖r_dual‖∞ / max(‖Px‖∞, ‖Aᵀy‖∞,
+//! ‖q‖∞)))`, clamped to `[1e-6, 1e6]`, and the KKT matrix is refactored at
+//! it only when it moves ρ by more than 5× either way. The cadence is an
+//! iteration count, not OSQP's default share of the setup time, so the
+//! solver stays clock-free and every answer is a function of its inputs.
 //!
 //! `A` is held as its nonzeros, row by row, so with `nnz = nnz(A)`:
 //!
 //! * a factorization is O(n·nnz) for `AᵀA` (one outer product per row)
-//!   plus the n×n Cholesky factor, once per factor — the warm cache
-//!   reuses it while `(P, A, ρ, σ)` stay bit-identical;
+//!   plus the n×n Cholesky factor, once per solve and once more per ρ
+//!   move — the warm cache carries the last ρ with its factor and reuses
+//!   both while `(P, A, σ)` stay bit-identical;
 //! * an iteration is one n² triangular-solve pair plus O(nnz + n + m) for
 //!   `Aᵀ(ρz − y)`, `A·x` and the vector updates. Both substitutions are
 //!   column-oriented over the factor's stored `L`/`Lᵀ` mirror: each of
@@ -44,6 +54,25 @@ pub const QP_INF: f64 = 1e30;
 /// the window the check falls back to every 10 iterations to save the
 /// residual matvecs on long cold solves.
 const EARLY_CHECK_WINDOW: usize = 32;
+
+/// ρ is reconsidered at the residual checks of iterations `10, 20, …`
+/// (0-based): each of them performs a check, inside the early window and
+/// on the every-10 cadence past it.
+const ADAPT_EVERY: usize = 10;
+
+/// A candidate ρ replaces the current one only when it is more than this
+/// factor above or below it (OSQP's `adaptive_rho_tolerance`): each move
+/// costs a refactorization.
+const ADAPT_TOLERANCE: f64 = 5.0;
+
+/// The range an adapted ρ is clamped to (OSQP's `RHO_MIN`/`RHO_MAX`).
+const RHO_MIN: f64 = 1e-6;
+const RHO_MAX: f64 = 1e6;
+
+/// Added to the denominators of the balancing ratio so that all-zero
+/// iterates or residuals give a finite candidate (OSQP's
+/// `OSQP_DIVISION_TOL`).
+const DIVISION_TOL: f64 = 1e-30;
 
 /// A warm-start seed for the ADMM iteration: the primal iterate `x`, the
 /// constraint duals `y` and the auxiliary (projected) variable `z` of a
@@ -93,7 +122,9 @@ impl QpWarmStart {
 /// Solver settings.
 #[derive(Debug, Clone)]
 pub struct QpSettings {
-    /// ADMM penalty parameter ρ.
+    /// Starting ADMM penalty parameter ρ: a solve adapts ρ from here (see
+    /// the module doc), and a [`crate::warm::WarmCache`] hit starts from
+    /// the ρ its entry's last solve ended at instead.
     pub rho: f64,
     /// Regularization parameter σ added to `P`.
     pub sigma: f64,
@@ -105,6 +136,20 @@ pub struct QpSettings {
     pub eps_abs: f64,
     /// Relative tolerance for primal/dual residuals.
     pub eps_rel: f64,
+}
+
+impl QpSettings {
+    /// Requires `rho > 0`, `sigma >= 0` and `0 < alpha < 2`. Every
+    /// comparison is false for NaN, so a NaN parameter is rejected too.
+    pub(crate) fn check(&self) -> Result<(), ConvexError> {
+        if self.rho > 0.0 && self.sigma >= 0.0 && self.alpha > 0.0 && self.alpha < 2.0 {
+            Ok(())
+        } else {
+            Err(ConvexError::InvalidParameter(
+                "need rho > 0, sigma >= 0, 0 < alpha < 2".into(),
+            ))
+        }
+    }
 }
 
 impl Default for QpSettings {
@@ -336,21 +381,28 @@ impl QpProblem {
         0.5 * self.p.quadratic_form(x).unwrap_or(f64::NAN) + vector::dot(&self.q, x)
     }
 
-    /// Solves the QP by ADMM from a cold (all-zero) start.
+    /// Solves the QP by ADMM from a cold (all-zero) start, with ρ starting
+    /// at `settings.rho`.
     ///
     /// # Errors
+    /// * [`ConvexError::InvalidParameter`] unless `rho > 0`, `sigma >= 0`
+    ///   and `0 < alpha < 2`.
     /// * [`ConvexError::NotConvex`] when the regularized KKT matrix is not
-    ///   positive definite (indefinite `P`).
+    ///   positive definite (indefinite `P`), at the starting ρ or at an
+    ///   adapted one.
     /// * [`ConvexError::NonConvergence`] when the iteration budget runs
     ///   out, or at once, with a NaN `residual`, when an iterate or a
     ///   residual turns NaN or infinite (overflowing data).
     pub fn solve(&self, settings: &QpSettings) -> Result<QpSolution, ConvexError> {
-        self.solve_with(settings, None, None)
+        settings.check()?;
+        let mut penalty = Penalty::new(self, settings.rho, settings.sigma)?;
+        self.solve_with(settings, None, &mut penalty)
     }
 
     /// Assembles the condensed KKT matrix `P + σI + ρAᵀA` without
-    /// factorizing it — the matrix every solve factors once. Public so
-    /// callers can inspect or time the KKT system on its own.
+    /// factorizing it — the matrix a solve factors at its starting ρ and
+    /// again at each ρ it moves to. Public so callers can inspect or time
+    /// the KKT system on its own.
     ///
     /// `AᵀA` is summed from the outer products of `A`'s sparse rows, in
     /// row order from `+0.0`: bit for bit the chains of the dense
@@ -360,8 +412,11 @@ impl QpProblem {
     /// None for a problem built by [`QpProblem::new`].
     pub fn kkt_matrix(&self, rho: f64, sigma: f64) -> Result<Matrix, ConvexError> {
         let n = self.num_vars();
-        let mut ata = Matrix::zeros(n, n);
-        let gram = ata.as_mut_slice();
+        // AᵀA is summed in the buffer that becomes the KKT matrix, and each
+        // entry g then turns into `p + g·ρ`: the same operations as adding
+        // ρ·AᵀA to a copy of P, without a second n×n buffer.
+        let mut kkt = Matrix::zeros(n, n);
+        let gram = kkt.as_mut_slice();
         for row in self.a.row_entries() {
             for &(i, ai) in row {
                 let Some(dst) = gram.get_mut(i * n..(i + 1) * n) else {
@@ -374,48 +429,40 @@ impl QpProblem {
                 }
             }
         }
-        let mut kkt = self.p.clone();
-        for (k, &g) in kkt.as_mut_slice().iter_mut().zip(ata.as_slice()) {
-            *k += g * rho;
+        for (k, &p) in gram.iter_mut().zip(self.p.as_slice()) {
+            *k = p + *k * rho;
         }
-        for d in kkt.as_mut_slice().iter_mut().step_by(n + 1) {
+        for d in gram.iter_mut().step_by(n + 1) {
             *d += sigma;
         }
         Ok(kkt)
     }
 
     /// Factorizes the condensed KKT matrix `P + σI + ρAᵀA` for the given
-    /// penalty parameters. The factor can be passed back to
-    /// [`QpProblem::solve_with`] to skip refactorization, and is what the
-    /// warm-start cache stores per fingerprint.
-    pub(crate) fn kkt_factor(&self, rho: f64, sigma: f64) -> Result<Cholesky, ConvexError> {
+    /// penalty parameters.
+    fn kkt_factor(&self, rho: f64, sigma: f64) -> Result<Cholesky, ConvexError> {
         let kkt = self.kkt_matrix(rho, sigma)?;
         Cholesky::new(&kkt)
             .map_err(|_| ConvexError::NotConvex("P + σI + ρAᵀA is not positive definite".into()))
     }
 
-    /// The full-control solve: optional warm start and optional
-    /// pre-computed KKT factorization. `factor`, when given, must factor
-    /// `P + σI + ρAᵀA` for exactly this problem's `(P, A)` and the
-    /// settings' `(rho, sigma)` — the warm cache enforces that by keying
-    /// factors on a bit-exact hash.
+    /// The full-control solve: an optional warm start, and the ρ to start
+    /// from with its KKT factor. `penalty` must factor `P + σI + ρAᵀA` for
+    /// exactly this problem's `(P, A)` and `settings.sigma` — the warm
+    /// cache enforces that by keying factor reuse on a bit-exact hash. The
+    /// solve adapts `penalty` in place and leaves it at the ρ it ended
+    /// at, so the next solve of a nearby problem can start there. The
+    /// caller validates `settings` (`QpSettings::check`).
     pub(crate) fn solve_with(
         &self,
         settings: &QpSettings,
         warm: Option<&QpWarmStart>,
-        factor: Option<&Cholesky>,
+        penalty: &mut Penalty,
     ) -> Result<QpSolution, ConvexError> {
         let n = self.num_vars();
         let m = self.num_constraints();
-        let rho = settings.rho;
         let sigma = settings.sigma;
         let alpha = settings.alpha;
-        // Negated so NaN parameters fail validation too.
-        if !(rho > 0.0 && sigma >= 0.0 && alpha > 0.0 && alpha < 2.0) {
-            return Err(ConvexError::InvalidParameter(
-                "need rho > 0, sigma >= 0, 0 < alpha < 2".into(),
-            ));
-        }
         if let Some(w) = warm {
             if w.x.len() != n || w.y.len() != m || w.z.len() != m {
                 return Err(ConvexError::DimensionMismatch(format!(
@@ -431,17 +478,7 @@ impl QpProblem {
             }
         }
 
-        // KKT matrix: P + σI + ρ AᵀA (condensed form), factorized once —
-        // or reused from a previous solve when the caller certifies it.
-        let owned;
-        let chol = match factor {
-            Some(f) => f,
-            None => {
-                owned = self.kkt_factor(rho, sigma)?;
-                &owned
-            }
-        };
-
+        let mut rho = penalty.rho;
         let (mut x, mut z, mut y) = match warm {
             Some(w) => (w.x.clone(), w.z.clone(), w.y.clone()),
             None => (vec![0.0; n], vec![0.0; m], vec![0.0; m]),
@@ -472,7 +509,7 @@ impl QpProblem {
             for (((r, &xi), &qi), &ai) in rhs.iter_mut().zip(&x).zip(&self.q).zip(&atw) {
                 *r = sigma * xi - qi + ai;
             }
-            chol.solve_into(&rhs, &mut chol_work, &mut x_new)?;
+            penalty.kkt.solve_into(&rhs, &mut chol_work, &mut x_new)?;
 
             // Over-relaxed z-update with projection onto [l, u], then the
             // dual update from the same relaxed point.
@@ -519,8 +556,9 @@ impl QpProblem {
                         residual: f64::NAN,
                     });
                 }
+                let dua_scale = dua_scale.max(q_norm);
                 let eps_pri = settings.eps_abs + settings.eps_rel * pri_scale;
-                let eps_dua = settings.eps_abs + settings.eps_rel * dua_scale.max(q_norm);
+                let eps_dua = settings.eps_abs + settings.eps_rel * dua_scale;
                 if primal_res <= eps_pri && dual_res <= eps_dua {
                     return Ok(QpSolution {
                         objective: self.objective(&x),
@@ -531,12 +569,68 @@ impl QpProblem {
                         dual_residual: dual_res,
                     });
                 }
+                if iter > 0 && iter % ADAPT_EVERY == 0 {
+                    let pri = primal_res / (pri_scale + DIVISION_TOL);
+                    let dua = dual_res / (dua_scale + DIVISION_TOL);
+                    let next = (rho * (pri / (dua + DIVISION_TOL)).sqrt()).clamp(RHO_MIN, RHO_MAX);
+                    if next > rho * ADAPT_TOLERANCE || next < rho / ADAPT_TOLERANCE {
+                        penalty.refactor(self, next, sigma)?;
+                        rho = next;
+                    }
+                }
             }
         }
         Err(ConvexError::NonConvergence {
             iterations: settings.max_iter,
             residual: primal_res.max(dual_res),
         })
+    }
+}
+
+/// The ADMM penalty ρ and the Cholesky factor of `P + σI + ρAᵀA` at
+/// that ρ: a solve that moves ρ refactors, so the two change together.
+#[derive(Debug, Clone)]
+pub(crate) struct Penalty {
+    rho: f64,
+    kkt: Cholesky,
+    /// KKT factorizations performed since this value was built, the first
+    /// one included.
+    factorizations: u64,
+}
+
+impl Penalty {
+    /// Factors `problem`'s KKT matrix at `rho`.
+    pub(crate) fn new(problem: &QpProblem, rho: f64, sigma: f64) -> Result<Self, ConvexError> {
+        Ok(Penalty {
+            rho,
+            kkt: problem.kkt_factor(rho, sigma)?,
+            factorizations: 1,
+        })
+    }
+
+    /// The current ρ.
+    pub(crate) fn rho(&self) -> f64 {
+        self.rho
+    }
+
+    /// KKT factorizations performed since [`Penalty::new`], its own
+    /// included.
+    pub(crate) fn factorizations(&self) -> u64 {
+        self.factorizations
+    }
+
+    /// Refactors `problem`'s KKT matrix at `rho`; on an error `self` is
+    /// left as it was.
+    pub(crate) fn refactor(
+        &mut self,
+        problem: &QpProblem,
+        rho: f64,
+        sigma: f64,
+    ) -> Result<(), ConvexError> {
+        self.kkt = problem.kkt_factor(rho, sigma)?;
+        self.rho = rho;
+        self.factorizations += 1;
+        Ok(())
     }
 }
 
@@ -879,7 +973,10 @@ mod tests {
         for (i, v) in warm.y.iter_mut().enumerate() {
             *v += 1e-7 * ((i as f64) + 1.0).sin();
         }
-        let sol = prob.solve_with(&settings, Some(&warm), None).unwrap();
+        let mut penalty = Penalty::new(&prob, settings.rho, settings.sigma).unwrap();
+        let sol = prob
+            .solve_with(&settings, Some(&warm), &mut penalty)
+            .unwrap();
         assert!(
             sol.iterations > 1 && sol.iterations < 11,
             "warm solve took {} iterations; the every-iteration early window \
@@ -917,13 +1014,14 @@ mod tests {
     fn warm_start_validation() {
         let prob = coupled_qp();
         let s = settings();
+        let mut penalty = Penalty::new(&prob, s.rho, s.sigma).unwrap();
         let bad_len = QpWarmStart {
             x: vec![0.0; 2],
             y: vec![0.0; 6],
             z: vec![0.0; 6],
         };
         assert!(matches!(
-            prob.solve_with(&s, Some(&bad_len), None),
+            prob.solve_with(&s, Some(&bad_len), &mut penalty),
             Err(ConvexError::DimensionMismatch(_))
         ));
         let bad_nan = QpWarmStart {
@@ -932,33 +1030,54 @@ mod tests {
             z: vec![0.0; 6],
         };
         assert!(matches!(
-            prob.solve_with(&s, Some(&bad_nan), None),
+            prob.solve_with(&s, Some(&bad_nan), &mut penalty),
             Err(ConvexError::NotFinite)
         ));
     }
 
     #[test]
     fn warm_start_matches_cold_objective() {
+        // Seeded with its own answer and started from the ρ that solve
+        // ended at, a re-solve stops at once: no ρ move, no refactor.
         let prob = coupled_qp();
         let s = settings();
-        let cold = prob.solve(&s).unwrap();
+        let mut penalty = Penalty::new(&prob, s.rho, s.sigma).unwrap();
+        let cold = prob.solve_with(&s, None, &mut penalty).unwrap();
+        let (rho, factorizations) = (penalty.rho(), penalty.factorizations());
         let warm = QpWarmStart::from_solution(&prob, &cold).unwrap();
-        let sol = prob.solve_with(&s, Some(&warm), None).unwrap();
-        assert!(sol.iterations <= cold.iterations);
+        let sol = prob.solve_with(&s, Some(&warm), &mut penalty).unwrap();
+        assert!(sol.iterations < ADAPT_EVERY && sol.iterations <= cold.iterations);
         assert!((sol.objective - cold.objective).abs() < 1e-6);
+        assert_eq!(
+            (penalty.rho().to_bits(), penalty.factorizations()),
+            (rho.to_bits(), factorizations)
+        );
     }
 
     #[test]
     fn reused_factor_matches_fresh_solve() {
         let prob = coupled_qp();
         let s = settings();
-        let factor = prob.kkt_factor(s.rho, s.sigma).unwrap();
-        let with_factor = prob.solve_with(&s, None, Some(&factor)).unwrap();
+        let mut penalty = Penalty::new(&prob, s.rho, s.sigma).unwrap();
+        let with_penalty = prob.solve_with(&s, None, &mut penalty).unwrap();
         let fresh = prob.solve(&s).unwrap();
-        // Same factorization, same arithmetic: bit-identical iterates.
-        assert_eq!(with_factor.iterations, fresh.iterations);
-        assert_eq!(with_factor.x, fresh.x);
-        assert_eq!(with_factor.y, fresh.y);
+        // Same starting ρ, same adaptations, same arithmetic: bit-identical
+        // iterates.
+        assert_eq!(with_penalty.iterations, fresh.iterations);
+        assert_eq!(with_penalty.x, fresh.x);
+        assert_eq!(with_penalty.y, fresh.y);
+        // This cold solve moves ρ, so the penalty it leaves holds a factor
+        // built mid-solve. Reusing it equals a fresh factorization at that
+        // ρ, bit for bit.
+        assert!(penalty.factorizations() > 1);
+        assert_ne!(penalty.rho().to_bits(), s.rho.to_bits());
+        let mut rebuilt = Penalty::new(&prob, penalty.rho(), s.sigma).unwrap();
+        let reused = prob.solve_with(&s, None, &mut penalty).unwrap();
+        let refactored = prob.solve_with(&s, None, &mut rebuilt).unwrap();
+        assert_eq!(reused.iterations, refactored.iterations);
+        assert_eq!(reused.x, refactored.x);
+        assert_eq!(reused.y, refactored.y);
+        assert_eq!(penalty.rho().to_bits(), rebuilt.rho().to_bits());
     }
 
     #[test]

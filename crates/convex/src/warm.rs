@@ -6,11 +6,13 @@
 //! [`crate::qp`] instance by a *structural* hash of its dimensions and
 //! the sparsity patterns of `P` and `A`, and keeps one entry per
 //! structure in a bounded, deterministic LRU: the last solution of that
-//! structure and its KKT factorization. A hit seeds `x`/`y`/`z` from the
-//! entry and reuses the condensed KKT Cholesky whenever `(P, A, ρ, σ)`
-//! are bit-identical to the ones it was computed for; the solve then
+//! structure, the ADMM penalty ρ its solve ended at, and the KKT
+//! factorization at that ρ. A hit seeds `x`/`y`/`z` from the entry and
+//! starts from the entry's ρ. It reuses the condensed KKT Cholesky
+//! whenever `(P, A)` and σ are bit-identical to the ones it was computed
+//! for, and otherwise refactors at the entry's ρ. The solve then
 //! overwrites the entry, so the next instance of that structure starts
-//! from the latest answer.
+//! from the latest answer and the latest ρ.
 //!
 //! Warm solves run to the *same* stopping tolerance as cold solves — the
 //! layer trades iterations, never accuracy. Every lookup, update and
@@ -22,9 +24,8 @@
 //! which structures are evicted, so whether a solve starts warm or cold,
 //! and with it the last bits of the answer and the iteration count.
 
-use crate::qp::{QpProblem, QpSettings, QpSolution, QpWarmStart};
+use crate::qp::{Penalty, QpProblem, QpSettings, QpSolution, QpWarmStart};
 use crate::ConvexError;
-use rcr_linalg::Cholesky;
 use std::collections::BTreeMap;
 
 /// Default number of cached entries.
@@ -39,8 +40,11 @@ pub struct WarmStats {
     pub misses: u64,
     /// Entries displaced by the capacity bound.
     pub evictions: u64,
-    /// Hits that additionally reused a cached factorization verbatim.
+    /// Hits that additionally started from a cached factorization.
     pub factorization_reuses: u64,
+    /// KKT factorizations performed: one per miss, one per hit whose
+    /// `(P, A)` or σ changed, and one per ρ move inside a solve.
+    pub factorizations: u64,
 }
 
 /// What the cache did for one solve.
@@ -48,8 +52,11 @@ pub struct WarmStats {
 pub struct WarmReport {
     /// A cached entry seeded the iteration.
     pub hit: bool,
-    /// A cached factorization was reused verbatim.
+    /// The solve started from a cached factorization.
     pub factorization_reused: bool,
+    /// KKT factorizations this solve performed (see
+    /// [`WarmStats::factorizations`]).
+    pub factorizations: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -169,10 +176,10 @@ struct QpEntry {
     /// Recency clock of the last solve that used this entry.
     last_used: u64,
     warm: QpWarmStart,
-    kkt: Cholesky,
-    /// Bit-exact hash of `(P, A)` the factorization was computed for.
+    /// The ρ the last solve ended at, with the KKT factor at that ρ.
+    penalty: Penalty,
+    /// Bit-exact hash of `(P, A)` and the σ the factor was computed for.
     exact_pa: u64,
-    rho: f64,
     sigma: f64,
 }
 
@@ -204,6 +211,7 @@ struct QpEntry {
 /// let (cold, r0) = cache.solve_qp(&prob, &s)?;
 /// let (warm, r1) = cache.solve_qp(&prob, &s)?;
 /// assert!(!r0.hit && r1.hit && r1.factorization_reused);
+/// assert!(r0.factorizations >= 1 && r1.factorizations == 0);
 /// assert!((cold.objective - warm.objective).abs() < 1e-6);
 /// assert!(warm.iterations <= cold.iterations);
 /// # Ok(())
@@ -256,10 +264,15 @@ impl WarmCache {
     /// Solves a QP, warm-starting from (and updating) the cache.
     ///
     /// The solution satisfies the same stopping tolerance as a cold
-    /// [`QpProblem::solve`]. A hit seeds `x`/`y`/`z` from the entry of
-    /// the instance's structure; when `(P, A)` and the penalty parameters
-    /// are bit-identical to the cached factorization's, the KKT Cholesky
-    /// is reused too and the solve performs no factorization at all.
+    /// [`QpProblem::solve`]. A miss solves cold with ρ starting at
+    /// `settings.rho`. A hit seeds `x`/`y`/`z` from the entry of the
+    /// instance's structure and starts from the ρ that entry's last solve
+    /// ended at: when `(P, A)` and σ are bit-identical to the cached
+    /// factorization's, the KKT Cholesky at that ρ is reused too, and
+    /// otherwise it is refactored at that ρ. Either way the solve may move
+    /// ρ and refactor again; [`WarmReport::factorizations`] counts every
+    /// factorization, so a hit that reuses the factor and keeps ρ performs
+    /// none.
     ///
     /// # Errors
     /// Those of [`QpProblem::solve`]; a failing warm seed falls back to a
@@ -269,6 +282,7 @@ impl WarmCache {
         problem: &QpProblem,
         settings: &QpSettings,
     ) -> Result<(QpSolution, WarmReport), ConvexError> {
+        settings.check()?;
         let Fingerprint {
             structural,
             exact_pa,
@@ -277,8 +291,11 @@ impl WarmCache {
         let Some(entry) = self.qp.get_mut(&structural) else {
             // Miss: cold solve, then populate.
             self.stats.misses += 1;
-            let kkt = problem.kkt_factor(settings.rho, settings.sigma)?;
-            let sol = problem.solve_with(settings, None, Some(&kkt))?;
+            let mut penalty = Penalty::new(problem, settings.rho, settings.sigma)?;
+            let solved = problem.solve_with(settings, None, &mut penalty);
+            let factorizations = penalty.factorizations();
+            self.stats.factorizations += factorizations;
+            let sol = solved?;
             let warm = QpWarmStart::from_solution(problem, &sol)?;
             if self.capacity > 0 {
                 if self.qp.len() == self.capacity {
@@ -287,50 +304,52 @@ impl WarmCache {
                 let entry = QpEntry {
                     last_used: self.clock,
                     warm,
-                    kkt,
+                    penalty,
                     exact_pa,
-                    rho: settings.rho,
                     sigma: settings.sigma,
                 };
                 self.qp.insert(structural, entry);
             }
-            return Ok((sol, WarmReport::default()));
+            let report = WarmReport {
+                factorizations,
+                ..WarmReport::default()
+            };
+            return Ok((sol, report));
         };
         entry.last_used = self.clock;
         self.stats.hits += 1;
-        let factorization_reused = entry.exact_pa == exact_pa
-            && entry.rho.to_bits() == settings.rho.to_bits()
-            && entry.sigma.to_bits() == settings.sigma.to_bits();
-        // Coefficients of (P, A) or the penalties drifted: refactorize,
-        // keep the seed.
-        let fresh = if factorization_reused {
+        let before = entry.penalty.factorizations();
+        let factorization_reused =
+            entry.exact_pa == exact_pa && entry.sigma.to_bits() == settings.sigma.to_bits();
+        if factorization_reused {
             self.stats.factorization_reuses += 1;
-            None
         } else {
-            Some(problem.kkt_factor(settings.rho, settings.sigma)?)
-        };
-        let kkt = fresh.as_ref().unwrap_or(&entry.kkt);
-        let sol = match problem.solve_with(settings, Some(&entry.warm), Some(kkt)) {
-            Ok(sol) => sol,
-            // A stale seed (large drift) can stall; retry cold with the
-            // same factorization before giving up.
-            Err(ConvexError::NonConvergence { .. }) => {
-                problem.solve_with(settings, None, Some(kkt))?
-            }
-            Err(e) => return Err(e),
-        };
-        entry.warm = QpWarmStart::from_solution(problem, &sol)?;
-        if let Some(kkt) = fresh {
-            entry.kkt = kkt;
+            // (P, A) or σ drifted: refactor at the entry's ρ, keep the
+            // seed. The entry then describes the new factor, whatever the
+            // solve below does.
+            let rho = entry.penalty.rho();
+            entry.penalty.refactor(problem, rho, settings.sigma)?;
             entry.exact_pa = exact_pa;
-            entry.rho = settings.rho;
             entry.sigma = settings.sigma;
         }
+        let solved = match problem.solve_with(settings, Some(&entry.warm), &mut entry.penalty) {
+            // A stale seed (large drift) can stall; retry cold from the
+            // penalty it ended at before giving up.
+            Err(ConvexError::NonConvergence { .. }) => {
+                problem.solve_with(settings, None, &mut entry.penalty)
+            }
+            other => other,
+        };
+        let factorizations = entry.penalty.factorizations() - before;
+        self.stats.factorizations += factorizations;
+        let sol = solved?;
+        entry.warm = QpWarmStart::from_solution(problem, &sol)?;
         Ok((
             sol,
             WarmReport {
                 hit: true,
                 factorization_reused,
+                factorizations,
             },
         ))
     }
@@ -392,6 +411,43 @@ mod tests {
         assert!(warm.iterations <= cold.iterations);
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.factorization_reuses), (1, 1, 1));
+    }
+
+    #[test]
+    fn hits_on_an_unchanged_p_and_a_start_from_the_adapted_rho_without_factorizing() {
+        // From ρ = 1e-3 the miss moves ρ; the entry keeps the moved ρ with
+        // its factor, and hits whose (P, A) stay put start there.
+        let s = QpSettings {
+            rho: 1e-3,
+            ..QpSettings::default()
+        };
+        let mut cache = WarmCache::new(8);
+        let (_, miss) = cache.solve_qp(&qp_instance(0.0), &s).unwrap();
+        assert!(miss.factorizations > 1, "{miss:?}");
+        let entry = |cache: &WarmCache| cache.qp.values().next().cloned().unwrap();
+        let adapted = entry(&cache).penalty.rho();
+        assert_ne!(adapted.to_bits(), s.rho.to_bits());
+        for step in 1..=2 {
+            let prob = qp_instance(1e-4 * step as f64);
+            let seed = entry(&cache).warm;
+            let (sol, rep) = cache.solve_qp(&prob, &s).unwrap();
+            assert!(rep.hit && rep.factorization_reused, "step {step}");
+            assert_eq!(rep.factorizations, 0, "step {step}");
+            // Bit for bit the solve that starts at the adapted ρ.
+            let mut penalty = Penalty::new(&prob, adapted, s.sigma).unwrap();
+            let want = prob.solve_with(&s, Some(&seed), &mut penalty).unwrap();
+            assert_eq!(
+                (sol.objective.to_bits(), sol.iterations),
+                (want.objective.to_bits(), want.iterations),
+                "step {step}"
+            );
+            assert_eq!(entry(&cache).penalty.rho().to_bits(), adapted.to_bits());
+        }
+        let st = cache.stats();
+        assert_eq!(
+            (st.hits, st.factorization_reuses, st.factorizations),
+            (2, 2, miss.factorizations)
+        );
     }
 
     #[test]

@@ -11,12 +11,26 @@
 //! variant. The reference carries the solver's one guard that the dense
 //! loop lacked: a NaN or infinite iterate or residual ends the solve with
 //! a NaN-residual `NonConvergence` instead of passing the tolerance test.
+//! It also carries the solver's adaptive ρ, written out from its rule:
+//! at the residual checks of iterations 10, 20, … that do not stop,
+//! `ρ·√((‖r_prim‖∞ / max(‖Ax‖∞, ‖z‖∞)) / (‖r_dual‖∞ / max(‖Px‖∞, ‖Aᵀy‖∞,
+//! ‖q‖∞)))` with `1e-30` added to each denominator, clamped to
+//! `[1e-6, 1e6]`, replaces ρ (with a fresh dense factor) when it moves ρ by
+//! more than 5× either way.
 
 use proptest::prelude::*;
 use rcr_convex::qp::{QpProblem, QpSettings, QpSolution, QpWarmStart, QP_INF};
 use rcr_convex::warm::WarmCache;
 use rcr_convex::ConvexError;
 use rcr_linalg::{vector, Cholesky, Matrix};
+
+/// The reference's ρ with the dense factor of `P + σI + ρAᵀA` at it.
+struct DensePenalty {
+    rho: f64,
+    chol: Cholesky,
+    /// Factorizations performed since the first, included.
+    factorizations: u64,
+}
 
 /// One QP in dense form.
 #[derive(Clone)]
@@ -50,9 +64,23 @@ impl Dense {
         kkt
     }
 
-    fn factor(&self, s: &QpSettings) -> Result<Cholesky, ConvexError> {
-        Cholesky::new(&self.kkt(s.rho, s.sigma))
+    fn factor(&self, rho: f64, sigma: f64) -> Result<Cholesky, ConvexError> {
+        Cholesky::new(&self.kkt(rho, sigma))
             .map_err(|_| ConvexError::NotConvex("P + σI + ρAᵀA is not positive definite".into()))
+    }
+
+    fn penalty(&self, rho: f64, sigma: f64) -> Result<DensePenalty, ConvexError> {
+        Ok(DensePenalty {
+            rho,
+            chol: self.factor(rho, sigma)?,
+            factorizations: 1,
+        })
+    }
+
+    /// A cold solve with ρ starting at `settings.rho`.
+    fn solve_cold(&self, settings: &QpSettings) -> Result<QpSolution, ConvexError> {
+        let mut penalty = self.penalty(settings.rho, settings.sigma)?;
+        self.solve(settings, None, &mut penalty)
     }
 
     /// The warm start of a solution: `z` = the dense `A·x` clamped to the
@@ -71,27 +99,20 @@ impl Dense {
         }
     }
 
-    /// The ADMM loop of `QpProblem::solve_with` over the dense `A`.
+    /// The ADMM loop of `QpProblem::solve_with` over the dense `A`,
+    /// starting from and adapting `penalty`.
     fn solve(
         &self,
         settings: &QpSettings,
         warm: Option<&QpWarmStart>,
-        factor: Option<&Cholesky>,
+        penalty: &mut DensePenalty,
     ) -> Result<QpSolution, ConvexError> {
         let (p, q, a, l, u) = (&self.p, &self.q, &self.a, &self.l, &self.u);
         let n = q.len();
         let m = l.len();
-        let rho = settings.rho;
+        let mut rho = penalty.rho;
         let sigma = settings.sigma;
         let alpha = settings.alpha;
-        let owned;
-        let chol = match factor {
-            Some(f) => f,
-            None => {
-                owned = self.factor(settings)?;
-                &owned
-            }
-        };
         let (mut x, mut z, mut y) = match warm {
             Some(w) => (w.x.clone(), w.z.clone(), w.y.clone()),
             None => (vec![0.0; n], vec![0.0; m], vec![0.0; m]),
@@ -120,7 +141,7 @@ impl Dense {
             for i in 0..n {
                 rhs[i] += atw[i];
             }
-            chol.solve_into(&rhs, &mut chol_work, &mut x_new)?;
+            penalty.chol.solve_into(&rhs, &mut chol_work, &mut x_new)?;
             a.matvec_into(&x_new, &mut ax)?;
             for i in 0..m {
                 let v = alpha * ax[i] + (1.0 - alpha) * z[i] + y[i] / rho;
@@ -150,13 +171,12 @@ impl Dense {
                         residual: f64::NAN,
                     });
                 }
-                let eps_pri = settings.eps_abs
-                    + settings.eps_rel * vector::norm_inf(&ax).max(vector::norm_inf(&z));
-                let eps_dua = settings.eps_abs
-                    + settings.eps_rel
-                        * vector::norm_inf(&px)
-                            .max(vector::norm_inf(&aty))
-                            .max(vector::norm_inf(q));
+                let pri_scale = vector::norm_inf(&ax).max(vector::norm_inf(&z));
+                let dua_scale = vector::norm_inf(&px)
+                    .max(vector::norm_inf(&aty))
+                    .max(vector::norm_inf(q));
+                let eps_pri = settings.eps_abs + settings.eps_rel * pri_scale;
+                let eps_dua = settings.eps_abs + settings.eps_rel * dua_scale;
                 if primal_res <= eps_pri && dual_res <= eps_dua {
                     return Ok(QpSolution {
                         objective: 0.5 * p.quadratic_form(&x).unwrap() + vector::dot(q, &x),
@@ -166,6 +186,17 @@ impl Dense {
                         primal_residual: primal_res,
                         dual_residual: dual_res,
                     });
+                }
+                if iter > 0 && iter % 10 == 0 {
+                    let balance = (primal_res / (pri_scale + 1e-30))
+                        / (dual_res / (dua_scale + 1e-30) + 1e-30);
+                    let next = (rho * balance.sqrt()).clamp(1e-6, 1e6);
+                    if next > 5.0 * rho || next < rho / 5.0 {
+                        penalty.chol = self.factor(next, sigma)?;
+                        penalty.rho = next;
+                        penalty.factorizations += 1;
+                        rho = next;
+                    }
                 }
             }
         }
@@ -237,7 +268,7 @@ fn assert_matches_reference(
 ) -> Result<QpSolution, ConvexError> {
     let prob = dense.problem();
     let got = prob.solve(settings);
-    assert_same(label, &got, &dense.solve(settings, None, None));
+    assert_same(label, &got, &dense.solve_cold(settings));
     assert_kkt_matches(label, &prob, dense, settings);
     if let Ok(sol) = &got {
         let warm = QpWarmStart::from_solution(&prob, sol).unwrap();
@@ -495,8 +526,9 @@ fn kkt_matrix_matches_the_dense_product_past_a_gemm_panel() {
 #[test]
 fn warm_starts_with_a_supplied_factor_match_the_dense_reference() {
     // Through the warm cache: a miss (cold solve on a fresh factor), hits
-    // that reuse the factor with the previous solution as the seed, and a
-    // P drift that refactors and keeps the seed.
+    // that start from the ρ and factor the previous solve ended at with
+    // its solution as the seed, and a P drift that refactors at that ρ and
+    // keeps the seed. Each step's factorization count matches too.
     let mut s = Stream(0x3A_2F);
     let n = 12;
     let p0 = random_psd(n, 4, 0.3, &mut s);
@@ -513,47 +545,67 @@ fn warm_starts_with_a_supplied_factor_match_the_dense_reference() {
     let (mut l, mut u) = bounds_around(&a, &mut s, |i| [0, 0, 2, 3, 1][i % 5]);
     (l[2], u[2]) = (0.0, 0.0);
     (l[n + 1], u[n + 1]) = (-0.5, 0.5);
-    let settings = QpSettings::default();
-    let mut cache = WarmCache::new(4);
-    let mut factor: Option<Cholesky> = None;
-    let mut seed: Option<QpWarmStart> = None;
-    for step in 0..6 {
-        let mut p = p0.clone();
-        if step >= 4 {
-            p[(1, 1)] += 1e-3;
-        }
-        let q: Vec<f64> = (0..n)
-            .map(|i| ((i + 1) as f64 * 0.3).sin() + 1e-3 * (step * (i + 1)) as f64)
-            .collect();
-        let dense = Dense {
-            p,
-            q,
-            a: a.clone(),
-            l: l.clone(),
-            u: u.clone(),
+    // ρ starts at the default, where this problem never moves it, and at
+    // two starts it moves away from, so the hits begin at a carried ρ.
+    for rho0 in [0.1, 1e-3, 30.0] {
+        let settings = QpSettings {
+            rho: rho0,
+            ..QpSettings::default()
         };
-        let prob = dense.problem();
-        let (got, report) = cache.solve_qp(&prob, &settings).unwrap();
-        assert_eq!(report.hit, step > 0, "step {step}: hit");
-        assert_eq!(
-            report.factorization_reused,
-            step > 0 && step != 4,
-            "step {step}: reuse"
-        );
-        if factor.is_none() || step == 4 {
-            factor = Some(dense.factor(&settings).unwrap());
+        let mut cache = WarmCache::new(4);
+        let mut penalty: Option<DensePenalty> = None;
+        let mut seed: Option<QpWarmStart> = None;
+        for step in 0..6 {
+            let mut p = p0.clone();
+            if step >= 4 {
+                p[(1, 1)] += 1e-3;
+            }
+            let q: Vec<f64> = (0..n)
+                .map(|i| ((i + 1) as f64 * 0.3).sin() + 1e-3 * (step * (i + 1)) as f64)
+                .collect();
+            let dense = Dense {
+                p,
+                q,
+                a: a.clone(),
+                l: l.clone(),
+                u: u.clone(),
+            };
+            let prob = dense.problem();
+            let (got, report) = cache.solve_qp(&prob, &settings).unwrap();
+            assert_eq!(report.hit, step > 0, "step {step}: hit");
+            assert_eq!(
+                report.factorization_reused,
+                step > 0 && step != 4,
+                "step {step}: reuse"
+            );
+            // A miss starts at the settings' ρ; the P drift refactors at the
+            // ρ the previous solve ended at.
+            let rho = penalty.as_ref().map_or(settings.rho, |pen| pen.rho);
+            let pen = match penalty.as_mut() {
+                Some(pen) if step != 4 => pen,
+                _ => penalty.insert(dense.penalty(rho, settings.sigma).unwrap()),
+            };
+            let before = if step == 0 || step == 4 {
+                0
+            } else {
+                pen.factorizations
+            };
+            let want = match dense.solve(&settings, seed.as_ref(), pen) {
+                Err(ConvexError::NonConvergence { .. }) => dense.solve(&settings, None, pen),
+                other => other,
+            };
+            let label = format!("rho0 {rho0} warm step {step}");
+            assert_eq!(
+                report.factorizations,
+                pen.factorizations - before,
+                "{label}: factorizations"
+            );
+            assert_same(&label, &Ok(got.clone()), &want);
+            let dense_seed = dense.warm_start(&want.unwrap());
+            let sparse_seed = QpWarmStart::from_solution(&prob, &got).unwrap();
+            assert_same_up_to_zero_sign(&label, &sparse_seed.z, &dense_seed.z);
+            seed = Some(dense_seed);
         }
-        let chol = factor.as_ref().unwrap();
-        let want = match dense.solve(&settings, seed.as_ref(), Some(chol)) {
-            Err(ConvexError::NonConvergence { .. }) => dense.solve(&settings, None, Some(chol)),
-            other => other,
-        };
-        let label = format!("warm step {step}");
-        assert_same(&label, &Ok(got.clone()), &want);
-        let dense_seed = dense.warm_start(&want.unwrap());
-        let sparse_seed = QpWarmStart::from_solution(&prob, &got).unwrap();
-        assert_same_up_to_zero_sign(&label, &sparse_seed.z, &dense_seed.z);
-        seed = Some(dense_seed);
     }
 }
 

@@ -394,7 +394,27 @@ impl Matrix {
 
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
+        // Eight independent lanes instead of one latency-bound chain, each
+        // a compare-and-select that vectorises to a packed max. The
+        // maximum of a set does not depend on the grouping; a NaN `|v|`
+        // fails `>` and is skipped as `f64::max` skips it; and `|v|` is
+        // never `-0.0`. So this is the one-chain `f64::max` fold's value
+        // exactly.
+        let mut lanes = [0.0f64; 8];
+        let mut chunks = self.data.chunks_exact(lanes.len());
+        for chunk in &mut chunks {
+            for (m, v) in lanes.iter_mut().zip(chunk) {
+                let a = v.abs();
+                if a > *m {
+                    *m = a;
+                }
+            }
+        }
+        let tail = chunks
+            .remainder()
+            .iter()
+            .fold(0.0f64, |m, v| m.max(v.abs()));
+        lanes.iter().fold(tail, |m, &v| m.max(v))
     }
 
     /// Frobenius inner product `<self, rhs>`.
@@ -708,6 +728,25 @@ mod tests {
         let s = a.symmetrize().unwrap();
         assert!(s.is_symmetric(1e-12));
         assert_eq!(s[(0, 1)], 1.0);
+    }
+
+    #[test]
+    fn lane_folded_max_abs_is_the_single_chain_fold() {
+        for len in [0usize, 1, 7, 8, 9, 17, 64, 130] {
+            let mut data: Vec<f64> = (0..len)
+                .map(|k| ((k * 37 % 23) as f64 - 11.0) * 0.3)
+                .collect();
+            // A NaN and a -0.0 in the lanes, and at length 130 an infinity
+            // in the remainder.
+            for (k, v) in [(3, f64::NAN), (5, -0.0), (129, f64::NEG_INFINITY)] {
+                if let Some(d) = data.get_mut(k) {
+                    *d = v;
+                }
+            }
+            let m = Matrix::from_vec(1, len, data.clone()).unwrap();
+            let chain = data.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            assert_eq!(m.max_abs().to_bits(), chain.to_bits(), "len {len}");
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ const LOCK_SCOPE: &[&str] = &["rcr-runtime", "rcr-serve"];
 
 /// Method names that mark a fn as a batch-solve entry point wherever it
 /// lives — the values these return feed verifier verdicts.
-const SOLVE_ENTRY_METHODS: &[&str] = &["solve_item", "solve_batch", "solve_batch_on"];
+const SOLVE_ENTRY_METHODS: &[&str] = &["solve_item", "solve_batch"];
 
 /// Runs the call-graph passes plus the dataflow ([`super::dataflow`])
 /// and unit-flow ([`super::units`]) layers; diagnostics come back
@@ -101,7 +101,7 @@ fn panic_reachability(graph: &Graph) -> Vec<Diagnostic> {
 
 /// Fixpoint over "returns nondeterminism", cut at `cut_taint` fns, then
 /// a diagnostic per entry point (public solver-crate fn, or any
-/// `solve_item`/`solve_batch`/`solve_batch_on` method) still tainted.
+/// `solve_item`/`solve_batch` method) still tainted.
 fn determinism_taint(graph: &Graph) -> Vec<Diagnostic> {
     let why = propagate(
         graph,

@@ -6,12 +6,16 @@
 //! problem: the quadratic term `P` (interference structure) and the
 //! constraint geometry stay fixed while the linear term `q` (measured
 //! channel gains) takes a fresh small perturbation every epoch. Each
-//! epoch is solved twice — cold (`QpProblem::solve`, fresh KKT
-//! factorization, ADMM from zero) and through a `WarmCache`
-//! (factorization reused, ADMM seeded from the previous epoch's
-//! optimum) — and both must agree on the objective to 1e-5 (both run
-//! to the same 1e-7 residual tolerance; at n = 128 that leaves a few
-//! 1e-6 of objective slack between distinct tolerance-feasible points).
+//! epoch is solved twice — cold (`QpProblem::solve`: ADMM from zero with
+//! ρ starting at the default 0.1, a fresh KKT factorization, and one
+//! more each time the adaptive ρ moves) and through a `WarmCache` (ADMM
+//! seeded from the previous epoch's optimum, starting from the ρ that
+//! solve ended at, with its factorization reused) — and both must agree
+//! on the objective to 1e-5 (both run to the same 1e-7 residual
+//! tolerance; at n = 128 that leaves a few 1e-6 of objective slack
+//! between distinct tolerance-feasible points). Every epoch after the
+//! first must hit the cache and reuse its factorization.
+//! `scripts/verify.sh` runs it, so both checks gate CI.
 //!
 //! ```sh
 //! cargo run --release --example warm_drift
@@ -96,18 +100,24 @@ fn main() {
         worst_gap < 1e-5,
         "warm and cold objectives diverged: {worst_gap:e}"
     );
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.hits, stats.misses, factor_reuses),
+        (EPOCHS - 1, 1, EPOCHS - 1),
+        "every epoch after the first must hit and reuse the factorization"
+    );
     cold_us.sort_by(f64::total_cmp);
     warm_us.sort_by(f64::total_cmp);
-    let stats = cache.stats();
     let epochs = EPOCHS as f64;
 
     println!("drifting-channel QP, n = {N}, {EPOCHS} epochs, drift {DRIFT:.0e}");
     println!(
-        "cache: {} hits / {} misses ({:.0}% hit rate), {} KKT factorization reuses",
+        "cache: {} hits / {} misses ({:.0}% hit rate), {} KKT factorizations reused, {} done",
         stats.hits,
         stats.misses,
         100.0 * stats.hits as f64 / epochs,
         factor_reuses,
+        stats.factorizations,
     );
     println!(
         "iterations per epoch: cold {:.1}, warm {:.1}",

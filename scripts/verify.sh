@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The CI gate: release build, complete test suite, formatting, lints, docs.
 # Usage: scripts/verify.sh [--quick] [--bench-smoke] [--scenario-smoke]
-#   --quick        builds (workspace and benchmark/) + tests only (skips rcr-lint,
-#                  fmt, clippy, rustdoc, and bench compilation)
+#   --quick        builds (workspace and benchmark/), tests and warm_drift only
+#                  (skips rcr-lint, fmt, clippy, rustdoc, and bench compilation)
 #   --bench-smoke  also run the benchmark suite in smoke mode and diff the
 #                  results against the committed BENCH_13.json baseline
 #                  (wall-time regressions beyond 25% of the host factor,
@@ -45,6 +45,12 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== cargo test --workspace ==" >&2
 cargo test --workspace -q
+
+echo "== warm_drift (warm-vs-cold gap, cache hits and factor reuses) ==" >&2
+# The drifting n = 128 QP through the warm cache, end to end: the example
+# asserts a warm-vs-cold objective gap below 1e-5 and a hit plus a
+# factorization reuse on every epoch after the first.
+cargo run -q --release --example warm_drift
 
 if [ "$quick" -eq 1 ]; then
   echo "verify.sh: quick gates passed (lint/fmt/clippy/rustdoc/benches skipped)" >&2
