@@ -341,7 +341,7 @@ fn bench_eigh_batch(c: &mut Criterion) {
         be.iter(|| {
             black_box(&items)
                 .iter()
-                .map(|a| SymmetricEigen::new_blocked_with_scratch(a, &mut scratch))
+                .map(|a| SymmetricEigen::with_scratch(a, &mut scratch))
                 .collect::<Vec<_>>()
                 .into_iter()
                 .map(|e| e.expect("eigen").eigenvalues()[0])

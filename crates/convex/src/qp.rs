@@ -42,6 +42,8 @@
 //! dense formulation (`tests/qp_sparse_oracle.rs` keeps the dense
 //! reference and pins this).
 
+use std::borrow::Cow;
+
 use crate::ConvexError;
 use rcr_linalg::{vector, Cholesky, LinalgError, Matrix};
 
@@ -441,8 +443,7 @@ impl QpProblem {
     /// Factorizes the condensed KKT matrix `P + σI + ρAᵀA` for the given
     /// penalty parameters.
     fn kkt_factor(&self, rho: f64, sigma: f64) -> Result<Cholesky, ConvexError> {
-        let kkt = self.kkt_matrix(rho, sigma)?;
-        Cholesky::new(&kkt)
+        Cholesky::new(Cow::Owned(self.kkt_matrix(rho, sigma)?))
             .map_err(|_| ConvexError::NotConvex("P + σI + ρAᵀA is not positive definite".into()))
     }
 

@@ -47,6 +47,8 @@
 //! subtraction, so it returns the dense factor's bits too (see
 //! `GramFactor::solve_into`).
 
+use std::borrow::Cow;
+
 use crate::ConvexError;
 use rcr_linalg::{Cholesky, Matrix};
 
@@ -344,7 +346,7 @@ impl GramFactor {
                     *g = ci.inner_sparse(cj);
                 }
             }
-            let chol = Cholesky::new(&gram).map_err(|_| ConvexError::Infeasible)?;
+            let chol = Cholesky::new(Cow::Owned(gram)).map_err(|_| ConvexError::Infeasible)?;
             return Ok(GramFactor::Dense(chol));
         }
         let diag: Vec<f64> = constraints.iter().map(|c| c.inner_sparse(c)).collect();

@@ -1,20 +1,20 @@
-//! Blocked, panel-based dense factorizations on top of the GEMM-style
-//! register tiling: right-looking Cholesky, Householder QR, and a
-//! tridiagonalization + implicit-QL symmetric eigensolver.
+//! Dense factorizations: a blocked right-looking Cholesky on register
+//! tiles, Householder QR, and a tridiagonalization + implicit-QL
+//! symmetric eigensolver.
 //!
 //! ## Bit-identity
 //!
-//! The Cholesky and QR kernels preserve the per-output-element operation
-//! chains of the unblocked reference loops (`cholesky_unblocked`,
-//! `qr_unblocked` — themselves transcriptions of the historical
-//! `rcr-linalg` implementations). The key observation is that an f64
-//! store/load round trip is exact, so a right-looking trailing update that
-//! *continues* an element's subtraction chain in memory (`a[i][j] -=
-//! l[i][k]·l[j][k]`, `k` ascending) produces the same bits as the
-//! one-pass left-looking chain held in a register. Blocking therefore only
-//! changes *which* elements are in flight, never the rounding sequence
-//! feeding one element. All of this is pinned bitwise by the proptests in
-//! `tests/proptests.rs`.
+//! [`qr`] is the historical `rcr-linalg` QR loop on flat slices. The
+//! blocked Cholesky preserves the per-output-element operation chains of
+//! the unblocked reference loop (`cholesky_unblocked`, itself a
+//! transcription of the historical implementation). The key observation
+//! is that an f64 store/load round trip is exact, so a right-looking
+//! trailing update that *continues* an element's subtraction chain in
+//! memory (`a[i][j] -= l[i][k]·l[j][k]`, `k` ascending) produces the same
+//! bits as the one-pass left-looking chain held in a register. Blocking
+//! therefore only changes *which* elements are in flight, never the
+//! rounding sequence feeding one element. This is pinned bitwise by the
+//! proptests in `tests/proptests.rs`.
 //!
 //! The eigensolver's layout is chosen the same way: it keeps the trailing
 //! block of its Householder reduction symmetric bit for bit and holds the
@@ -25,10 +25,11 @@
 //!
 //! ## Allocation
 //!
-//! Cholesky uses fixed-size stack tiles only. QR and the eigensolver check
-//! their panel/accumulation workspaces out of a caller-provided
-//! [`Scratch`] pool (2-D panels via [`Scratch::take_mat`]), so steady-state
-//! repeated factorizations perform no heap allocation.
+//! Cholesky uses fixed-size stack tiles and QR works in its caller's
+//! buffers only. The eigensolver checks its accumulation workspaces out of
+//! a caller-provided [`Scratch`] pool (2-D panels via
+//! [`Scratch::take_mat`]), so steady-state repeated factorizations perform
+//! no heap allocation.
 
 use crate::scratch::Scratch;
 
@@ -43,10 +44,9 @@ const SYRK_MR: usize = 4;
 /// Register-tile width of the symmetric rank-k trailing update.
 const SYRK_NR: usize = 8;
 
-/// Column-tile width used when applying Householder reflectors to a
-/// trailing block: reflectors are applied one at a time (preserving each
-/// element's operation chain) but vectorized across this many independent
-/// columns.
+/// Column-tile width used when accumulating the thin QR `Q`: reflectors
+/// are applied one at a time (preserving each element's operation chain)
+/// but vectorized across this many independent columns.
 const QR_NC: usize = 8;
 
 // ---------------------------------------------------------------------
@@ -263,8 +263,7 @@ fn syrk_tile_edge(
 // Householder QR
 // ---------------------------------------------------------------------
 
-/// Unblocked Householder QR of `r` (`m x n` row-major, `m >= n`), the
-/// bit-identity oracle for the returned `R`.
+/// Householder QR of `r` (`m x n` row-major, `m >= n`).
 ///
 /// On return the upper triangle of `r` holds `R` exactly as the historical
 /// `rcr-linalg` loop computed it (the diagonal is produced by *applying*
@@ -273,7 +272,7 @@ fn syrk_tile_edge(
 /// the tail of each Householder vector `v_k` (compact WY storage);
 /// `vhead[k]` holds `v_k[k]` and `vtv[k]` holds `v_kᵀv_k` (`0.0` marks a
 /// skipped/zero column). `vhead` and `vtv` must have length `n`.
-pub fn qr_unblocked(r: &mut [f64], m: usize, n: usize, vhead: &mut [f64], vtv: &mut [f64]) {
+pub fn qr(r: &mut [f64], m: usize, n: usize, vhead: &mut [f64], vtv: &mut [f64]) {
     debug_assert!(m >= n && r.len() == m * n);
     debug_assert!(vhead.len() == n && vtv.len() == n);
     for k in 0..n {
@@ -281,73 +280,21 @@ pub fn qr_unblocked(r: &mut [f64], m: usize, n: usize, vhead: &mut [f64], vtv: &
         if vtv[k] == 0.0 {
             continue;
         }
-        qr_apply_columns(r, m, n, k, k + 1, n, vhead, vtv);
-    }
-}
-
-/// Blocked Householder QR with panel width [`FACTOR_NB`]: bit-identical
-/// `R`/`V` to [`qr_unblocked`].
-///
-/// Within a panel, reflectors are formed and applied to the remaining
-/// panel columns immediately (the reference order). The panel's `V` is
-/// then packed into a contiguous [`Scratch::take_mat`] buffer and the
-/// reflectors are replayed over the trailing columns in ascending `k`
-/// order, vectorized across `QR_NC`-column tiles — each element still
-/// sees the exact reference sequence of (dot, scale, subtract) operations,
-/// the packing only improves locality of the `V` reads.
-pub fn qr(r: &mut [f64], m: usize, n: usize, vhead: &mut [f64], vtv: &mut [f64], s: &mut Scratch) {
-    qr_with_block(r, m, n, vhead, vtv, s, FACTOR_NB);
-}
-
-/// [`qr`] with an explicit panel width (`nb >= n` degenerates to the
-/// unblocked loop plus a pack that is never replayed).
-pub fn qr_with_block(
-    r: &mut [f64],
-    m: usize,
-    n: usize,
-    vhead: &mut [f64],
-    vtv: &mut [f64],
-    s: &mut Scratch,
-    nb: usize,
-) {
-    debug_assert!(m >= n && r.len() == m * n);
-    debug_assert!(vhead.len() == n && vtv.len() == n);
-    let nb = nb.max(1);
-    let mut p = 0;
-    while p < n {
-        let pb = nb.min(n - p);
-        for k in p..p + pb {
-            qr_householder_column(r, m, n, k, vhead, vtv);
-            if vtv[k] == 0.0 {
-                continue;
+        // Apply reflector k to the trailing columns, reading v from its
+        // in-place storage: the reference trailing loop verbatim.
+        let vk = vhead[k];
+        for c in (k + 1)..n {
+            let mut dot = 0.0;
+            dot += vk * r[k * n + c];
+            for i in (k + 1)..m {
+                dot += r[i * n + k] * r[i * n + c];
             }
-            qr_apply_columns(r, m, n, k, k + 1, p + pb, vhead, vtv);
+            let f = 2.0 * dot / vtv[k];
+            r[k * n + c] -= f * vk;
+            for i in (k + 1)..m {
+                r[i * n + c] -= f * r[i * n + k];
+            }
         }
-        if p + pb < n {
-            // Pack the panel's V rows contiguously: row kk holds v_{p+kk}
-            // over matrix rows p..m at offsets (i - p); entries before the
-            // reflector's own row are never read.
-            let stride = m - p;
-            let mut pv = s.take_mat(pb, stride, 0.0);
-            for kk in 0..pb {
-                let k = p + kk;
-                if vtv[k] == 0.0 {
-                    continue;
-                }
-                pv[kk * stride + (k - p)] = vhead[k];
-                for i in (k + 1)..m {
-                    pv[kk * stride + (i - p)] = r[i * n + k];
-                }
-            }
-            let mut c0 = p + pb;
-            while c0 < n {
-                let cw = QR_NC.min(n - c0);
-                qr_replay_panel(r, m, n, p, pb, c0, cw, &pv, stride, vtv);
-                c0 += QR_NC;
-            }
-            s.give_mat(pv);
-        }
-        p += pb;
     }
 }
 
@@ -402,85 +349,10 @@ fn qr_householder_column(
     r[k * n + k] = rkk - f * vk;
 }
 
-/// Applies reflector `k` to columns `c0..c1` of `r`, reading `v` from its
-/// in-place storage — the reference trailing loop verbatim.
-#[allow(clippy::too_many_arguments)]
-fn qr_apply_columns(
-    r: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-    c0: usize,
-    c1: usize,
-    vhead: &[f64],
-    vtv: &[f64],
-) {
-    let vk = vhead[k];
-    for c in c0..c1 {
-        let mut dot = 0.0;
-        dot += vk * r[k * n + c];
-        for i in (k + 1)..m {
-            dot += r[i * n + k] * r[i * n + c];
-        }
-        let f = 2.0 * dot / vtv[k];
-        r[k * n + c] -= f * vk;
-        for i in (k + 1)..m {
-            r[i * n + c] -= f * r[i * n + k];
-        }
-    }
-}
-
-/// Replays the packed panel's reflectors (ascending `k`) over one
-/// `cw`-column tile of the trailing block. Per column the operation
-/// sequence is identical to [`qr_apply_columns`]; the tile form exists so
-/// the dot and update passes stream the tile rows once per reflector with
-/// `V` reads coming from the contiguous pack.
-#[allow(clippy::too_many_arguments)]
-fn qr_replay_panel(
-    r: &mut [f64],
-    m: usize,
-    n: usize,
-    p: usize,
-    pb: usize,
-    c0: usize,
-    cw: usize,
-    pv: &[f64],
-    stride: usize,
-    vtv: &[f64],
-) {
-    for kk in 0..pb {
-        let k = p + kk;
-        if vtv[k] == 0.0 {
-            continue;
-        }
-        let v = &pv[kk * stride..(kk + 1) * stride];
-        let mut dots = [0.0f64; QR_NC];
-        for i in k..m {
-            let vi = v[i - p];
-            let row = &r[i * n + c0..i * n + c0 + cw];
-            for (jj, &x) in row.iter().enumerate() {
-                dots[jj] += vi * x;
-            }
-        }
-        let mut fs = [0.0f64; QR_NC];
-        for jj in 0..cw {
-            fs[jj] = 2.0 * dots[jj] / vtv[k];
-        }
-        for i in k..m {
-            let vi = v[i - p];
-            let row = &mut r[i * n + c0..i * n + c0 + cw];
-            for (jj, x) in row.iter_mut().enumerate() {
-                *x -= fs[jj] * vi;
-            }
-        }
-    }
-}
-
 /// Accumulates the thin `Q` (`m x n`, row-major, fully overwritten) from a
 /// factored `r`/`vhead`/`vtv` triple by applying the stored reflectors
 /// backward onto a thin identity — `O(m·n²)` instead of the historical
-/// `O(m²·n)` full-square accumulation. Shared by the blocked and unblocked
-/// paths, so identical `V` storage yields identical `Q` bits.
+/// `O(m²·n)` full-square accumulation.
 pub fn qr_thin_q(r: &[f64], m: usize, n: usize, vhead: &[f64], vtv: &[f64], q: &mut [f64]) {
     debug_assert!(q.len() == m * n);
     q.fill(0.0);
@@ -876,41 +748,6 @@ mod tests {
         }
         let mut m = a;
         assert_eq!(cholesky_unblocked(&mut m, 3, 3, 0.0), Err(1));
-    }
-
-    #[test]
-    fn blocked_qr_matches_unblocked_bitwise() {
-        for &(m, n) in &[(6usize, 4usize), (33, 32), (40, 33), (64, 64), (70, 5)] {
-            let a = spd(m.max(n), 0xACE ^ (m * n) as u64);
-            let a: Vec<f64> = (0..m * n).map(|i| a[i]).collect();
-            let mut r_ref = a.clone();
-            let mut vh_ref = vec![0.0; n];
-            let mut vt_ref = vec![0.0; n];
-            qr_unblocked(&mut r_ref, m, n, &mut vh_ref, &mut vt_ref);
-            let mut q_ref = vec![0.0; m * n];
-            qr_thin_q(&r_ref, m, n, &vh_ref, &vt_ref, &mut q_ref);
-            let mut scratch = Scratch::new();
-            for nb in [1usize, 8, 32, 100] {
-                let mut r = a.clone();
-                let mut vh = vec![0.0; n];
-                let mut vt = vec![0.0; n];
-                qr_with_block(&mut r, m, n, &mut vh, &mut vt, &mut scratch, nb);
-                for i in 0..m {
-                    for j in 0..n {
-                        assert_eq!(
-                            r[i * n + j].to_bits(),
-                            r_ref[i * n + j].to_bits(),
-                            "R m={m} n={n} nb={nb} ({i},{j})"
-                        );
-                    }
-                }
-                let mut q = vec![0.0; m * n];
-                qr_thin_q(&r, m, n, &vh, &vt, &mut q);
-                for i in 0..m * n {
-                    assert_eq!(q[i].to_bits(), q_ref[i].to_bits(), "Q nb={nb} idx {i}");
-                }
-            }
-        }
     }
 
     #[test]

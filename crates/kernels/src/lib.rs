@@ -31,8 +31,7 @@ pub mod gemm;
 pub mod scratch;
 
 pub use factor::{
-    cholesky, cholesky_unblocked, cholesky_with_block, eigh, qr, qr_thin_q, qr_unblocked,
-    qr_with_block, FACTOR_NB,
+    cholesky, cholesky_unblocked, cholesky_with_block, eigh, qr, qr_thin_q, FACTOR_NB,
 };
 pub use gemm::{
     axpy, dot, gemm, gemm_naive, gemv, gemv_bias, gemv_t, mul_into, norm_inf_diff, MR, NR,

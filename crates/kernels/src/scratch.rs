@@ -117,16 +117,6 @@ impl Scratch {
     pub fn pooled(&self) -> usize {
         self.f64s.len() + self.pairs.len() + self.mats.len()
     }
-
-    /// Drops all pooled buffers and zeroes the counters, returning the pool
-    /// to its freshly-constructed state.
-    pub fn reset(&mut self) {
-        self.f64s = Vec::default();
-        self.pairs = Vec::default();
-        self.mats = Vec::default();
-        self.checkouts = 0;
-        self.cold = 0;
-    }
 }
 
 #[cfg(test)]
@@ -219,16 +209,5 @@ mod tests {
         let panel = s.take_mat(16, 16, 0.0);
         assert_eq!(s.cold_allocs(), cold + 1, "panel re-checkout must be warm");
         s.give_mat(panel);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut s = Scratch::new();
-        let b = s.take_f64(8, 0.0);
-        s.give_f64(b);
-        s.reset();
-        assert_eq!(s.pooled(), 0);
-        assert_eq!(s.checkouts(), 0);
-        assert_eq!(s.cold_allocs(), 0);
     }
 }

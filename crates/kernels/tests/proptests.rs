@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rcr_kernels::{
     axpy, cholesky_unblocked, cholesky_with_block, dot, gemm, gemm_naive, gemv, gemv_bias, gemv_t,
-    norm_inf_diff, qr_thin_q, qr_unblocked, qr_with_block, Scratch, FACTOR_NB,
+    norm_inf_diff, FACTOR_NB,
 };
 
 const MAX_M: usize = 13;
@@ -263,35 +263,4 @@ proptest! {
         prop_assert!(want.is_err());
         prop_assert_eq!(got, want, "n={} nb={} poisoned={}", n, nb, bad);
     }
-
-    #[test]
-    fn blocked_qr_is_bit_identical(
-        size_idx in 0usize..STRADDLE_NS.len(),
-        extra_rows in 0usize..5,
-        nb in 1usize..=2 * FACTOR_NB,
-        pool in prop::collection::vec(-2.0f64..2.0, (MAX_STRADDLE_N + 4) * MAX_STRADDLE_N),
-        zero_stride in 2usize..7,
-    ) {
-        let n = STRADDLE_NS[size_idx];
-        let m = n + extra_rows;
-        let mut a = pool[..m * n].to_vec();
-        spice(&mut a, zero_stride, 0);
-        let mut r_ref = a.clone();
-        let mut vh_ref = vec![0.0; n];
-        let mut vt_ref = vec![0.0; n];
-        qr_unblocked(&mut r_ref, m, n, &mut vh_ref, &mut vt_ref);
-        let mut q_ref = vec![0.0; m * n];
-        qr_thin_q(&r_ref, m, n, &vh_ref, &vt_ref, &mut q_ref);
-
-        let mut scratch = Scratch::new();
-        let mut r = a.clone();
-        let mut vh = vec![0.0; n];
-        let mut vt = vec![0.0; n];
-        qr_with_block(&mut r, m, n, &mut vh, &mut vt, &mut scratch, nb);
-        assert_bits_eq(&r, &r_ref)?;
-        let mut q = vec![0.0; m * n];
-        qr_thin_q(&r, m, n, &vh, &vt, &mut q);
-        assert_bits_eq(&q, &q_ref)?;
-    }
-
 }

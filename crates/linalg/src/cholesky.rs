@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use crate::{LinalgError, Matrix};
 
 /// The edge of the square tiles the in-place mirror walks.
@@ -36,6 +38,10 @@ pub struct Cholesky {
 impl Cholesky {
     /// Factorizes a symmetric positive definite matrix.
     ///
+    /// Pass `&a` to factor a copy of `a`, or `Cow::Owned(a)` to hand `a`
+    /// over: its own buffer then becomes the factor, so no second n×n
+    /// buffer is allocated or filled.
+    ///
     /// Delegates to the blocked right-looking kernel in `rcr-kernels` at
     /// every size: the blocked factorization is bit-identical to the
     /// unblocked reference loop (`rcr_kernels::cholesky_unblocked`), so
@@ -49,7 +55,8 @@ impl Cholesky {
     /// * [`LinalgError::NotPositiveDefinite`] when a pivot is non-positive;
     ///   `pivot` reports the first offending column, identically to the
     ///   unblocked reference loop.
-    pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
+    pub fn new<'a>(a: impl Into<Cow<'a, Matrix>>) -> Result<Self, LinalgError> {
+        let a = a.into();
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: a.rows(),
@@ -61,7 +68,7 @@ impl Cholesky {
         }
         let n = a.rows();
         let tol = 1e-13 * a.max_abs().max(1.0);
-        let mut l = a.clone();
+        let mut l = a.into_owned();
         rcr_kernels::cholesky(l.as_mut_slice(), n, n, tol)
             .map_err(|pivot| LinalgError::NotPositiveDefinite { pivot })?;
         // The kernel leaves `L` in the lower triangle and the input's

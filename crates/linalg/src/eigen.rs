@@ -47,7 +47,7 @@ impl SymmetricEigen {
     /// * [`LinalgError::NonConvergence`] if the iteration fails to converge
     ///   (practically unreachable for finite symmetric input).
     pub fn new(a: &Matrix) -> Result<Self, LinalgError> {
-        Self::new_blocked_with_scratch(a, &mut rcr_kernels::Scratch::new())
+        Self::with_scratch(a, &mut rcr_kernels::Scratch::new())
     }
 
     fn validate(a: &Matrix) -> Result<(), LinalgError> {
@@ -73,7 +73,7 @@ impl SymmetricEigen {
     ///
     /// # Errors
     /// As for [`SymmetricEigen::new`].
-    pub fn new_blocked_with_scratch(
+    pub fn with_scratch(
         a: &Matrix,
         scratch: &mut rcr_kernels::Scratch,
     ) -> Result<Self, LinalgError> {
@@ -119,28 +119,9 @@ impl SymmetricEigen {
         vd.matmul(&self.eigenvectors.transpose())
     }
 
-    /// Rebuilds the original matrix `V * diag(λ) * V^T`.
-    pub fn reconstruct(&self) -> Matrix {
-        self.reconstruct_with(&self.eigenvalues.clone())
-            // rcr-lint: allow(no-unwrap-in-lib, reason = "reconstruct_with only errs on a length mismatch; self.eigenvalues matches by construction")
-            .expect("matching lengths")
-    }
-
     /// Numerical rank: eigenvalues with `|λ| > tol` count toward the rank.
     pub fn rank(&self, tol: f64) -> usize {
         self.eigenvalues.iter().filter(|l| l.abs() > tol).count()
-    }
-
-    /// Symmetric positive semidefinite square root `A^{1/2}` (negative
-    /// eigenvalues are clipped to zero first).
-    pub fn sqrt_psd(&self) -> Matrix {
-        let vals: Vec<f64> = self
-            .eigenvalues
-            .iter()
-            .map(|&l| l.max(0.0).sqrt())
-            .collect();
-        // rcr-lint: allow(no-unwrap-in-lib, reason = "vals is mapped 1:1 from self.eigenvalues, so the lengths cannot mismatch")
-        self.reconstruct_with(&vals).expect("matching lengths")
     }
 }
 
@@ -173,7 +154,7 @@ mod tests {
         let a =
             Matrix::from_rows(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]).unwrap();
         let e = a.symmetric_eigen().unwrap();
-        assert!((&e.reconstruct() - &a).max_abs() < 1e-10);
+        assert!((&e.reconstruct_with(e.eigenvalues()).unwrap() - &a).max_abs() < 1e-10);
     }
 
     #[test]
@@ -193,14 +174,6 @@ mod tests {
         let a = Matrix::from_diag(&[1.0, 1e-15, 2.0]);
         let e = a.symmetric_eigen().unwrap();
         assert_eq!(e.rank(1e-10), 2);
-    }
-
-    #[test]
-    fn sqrt_psd_squares_back() {
-        let a = Matrix::from_rows(&[&[4.0, 0.0], &[0.0, 9.0]]).unwrap();
-        let s = a.symmetric_eigen().unwrap().sqrt_psd();
-        let s2 = s.matmul(&s).unwrap();
-        assert!((&s2 - &a).max_abs() < 1e-10);
     }
 
     #[test]
@@ -295,7 +268,7 @@ mod tests {
                 assert!(w[0] <= w[1], "n={n}: eigenvalues must be ascending");
             }
             assert!(
-                (&e.reconstruct() - &a).max_abs() < tol,
+                (&e.reconstruct_with(e.eigenvalues()).unwrap() - &a).max_abs() < tol,
                 "n={n}: reconstruction"
             );
             let vtv = e

@@ -7,14 +7,13 @@
 //!
 //! * [`Matrix`] — a row-major dense matrix of `f64` with the usual
 //!   arithmetic, [`Matrix::matmul`], transposition and norms.
-//! * [`LuDecomposition`] — LU with partial pivoting: solves, determinants,
-//!   inverses.
+//! * [`LuDecomposition`] — LU with partial pivoting for square solves.
 //! * [`Cholesky`] — factorization of symmetric positive definite
 //!   matrices; the cheapest positive-definiteness test used by the convex
 //!   solvers.
 //! * [`QrDecomposition`] — Householder QR and least-squares solves.
 //! * [`SymmetricEigen`] — eigendecomposition of symmetric matrices
-//!   (blocked tridiagonalization + implicit QL at every size), the
+//!   (Householder tridiagonalization + implicit QL at every size), the
 //!   workhorse behind [`Matrix::psd_projection`] (projection onto the
 //!   positive semidefinite cone) needed by the SDP solver.
 //!

@@ -3,15 +3,15 @@ use crate::{LinalgError, Matrix};
 /// LU decomposition with partial (row) pivoting: `P * A = L * U`.
 ///
 /// The factors are stored compactly in a single matrix; `L` has an implicit
-/// unit diagonal. Solving, determinants and inverses reuse the factorization,
-/// so decompose once and solve many times.
+/// unit diagonal. Every solve reuses the factorization, so decompose once and
+/// solve many times.
 ///
 /// # Example
 /// ```
-/// use rcr_linalg::Matrix;
+/// use rcr_linalg::{LuDecomposition, Matrix};
 /// # fn main() -> Result<(), rcr_linalg::LinalgError> {
 /// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]])?;
-/// let lu = a.lu()?;
+/// let lu = LuDecomposition::new(&a)?;
 /// let x = lu.solve(&[3.0, 5.0])?;
 /// assert!((x[0] - 0.8).abs() < 1e-12 && (x[1] - 1.4).abs() < 1e-12);
 /// # Ok(())
@@ -21,7 +21,6 @@ use crate::{LinalgError, Matrix};
 pub struct LuDecomposition {
     lu: Matrix,
     perm: Vec<usize>,
-    sign: f64,
     singular: bool,
 }
 
@@ -48,7 +47,6 @@ impl LuDecomposition {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         let mut singular = false;
         let scale = a.max_abs().max(1.0);
 
@@ -74,7 +72,6 @@ impl LuDecomposition {
                     lu[(p, c)] = tmp;
                 }
                 perm.swap(k, p);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for r in (k + 1)..n {
@@ -86,30 +83,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            sign,
-            singular,
-        })
-    }
-
-    /// True when a pivot was smaller than the singularity tolerance.
-    pub fn is_singular(&self) -> bool {
-        self.singular
-    }
-
-    /// Determinant of the original matrix (0 when singular).
-    pub fn determinant(&self) -> f64 {
-        if self.singular {
-            return 0.0;
-        }
-        let n = self.lu.rows();
-        let mut det = self.sign;
-        for i in 0..n {
-            det *= self.lu[(i, i)];
-        }
-        det
+        Ok(LuDecomposition { lu, perm, singular })
     }
 
     /// Solves `A x = b`.
@@ -148,37 +122,6 @@ impl LuDecomposition {
         }
         Ok(x)
     }
-
-    /// Solves `A X = B` column by column.
-    ///
-    /// # Errors
-    /// Same as [`LuDecomposition::solve`], plus a dimension check on `B`.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix, LinalgError> {
-        let n = self.lu.rows();
-        if b.rows() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "lu solve_matrix",
-                got: vec![n, b.rows(), b.cols()],
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for c in 0..b.cols() {
-            let col = b.col(c);
-            let x = self.solve(&col)?;
-            for r in 0..n {
-                out[(r, c)] = x[r];
-            }
-        }
-        Ok(out)
-    }
-
-    /// Inverse of the original matrix.
-    ///
-    /// # Errors
-    /// [`LinalgError::Singular`] when the matrix is singular.
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.solve_matrix(&Matrix::identity(self.lu.rows()))
-    }
 }
 
 #[cfg(test)]
@@ -208,39 +151,24 @@ mod tests {
     }
 
     #[test]
-    fn determinant_sign_tracks_permutations() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        assert!((a.determinant().unwrap() + 1.0).abs() < 1e-14);
-        let b = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]).unwrap();
-        assert!((b.determinant().unwrap() - 6.0).abs() < 1e-14);
-    }
-
-    #[test]
     fn singular_matrix_detected() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]).unwrap();
-        let lu = a.lu().unwrap();
-        assert!(lu.is_singular());
-        assert_eq!(lu.determinant(), 0.0);
+        let lu = LuDecomposition::new(&a).unwrap();
         assert!(matches!(lu.solve(&[1.0, 1.0]), Err(LinalgError::Singular)));
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]).unwrap();
-        let inv = a.inverse().unwrap();
-        let id = a.matmul(&inv).unwrap();
-        assert!((&id - &Matrix::identity(2)).max_abs() < 1e-12);
     }
 
     #[test]
     fn rejects_nonsquare_and_nonfinite() {
         assert!(matches!(
-            Matrix::zeros(2, 3).lu(),
+            LuDecomposition::new(&Matrix::zeros(2, 3)),
             Err(LinalgError::NotSquare { .. })
         ));
         let mut a = Matrix::identity(2);
         a[(0, 0)] = f64::NAN;
-        assert!(matches!(a.lu(), Err(LinalgError::NotFinite)));
+        assert!(matches!(
+            LuDecomposition::new(&a),
+            Err(LinalgError::NotFinite)
+        ));
     }
 
     #[test]

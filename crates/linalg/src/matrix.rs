@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
@@ -381,17 +382,6 @@ impl Matrix {
             .fold(0.0, f64::max)
     }
 
-    /// Maximum absolute column sum (operator 1-norm).
-    pub fn one_norm(&self) -> f64 {
-        (0..self.cols)
-            .map(|c| {
-                (0..self.rows)
-                    .map(|r| self.data[r * self.cols + c].abs())
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         // Eight independent lanes instead of one latency-bound chain, each
@@ -433,17 +423,6 @@ impl Matrix {
         Ok(rcr_kernels::dot(&self.data, &rhs.data))
     }
 
-    /// Extracts the contiguous submatrix with rows `r0..r1` and columns `c0..c1`.
-    ///
-    /// # Panics
-    /// Panics if the ranges exceed the matrix bounds or are reversed.
-    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
-        assert!(r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols);
-        Matrix::from_fn(r1 - r0, c1 - c0, |r, c| {
-            self.data[(r0 + r) * self.cols + c0 + c]
-        })
-    }
-
     /// Writes `block` into `self` with its top-left corner at `(r0, c0)`.
     ///
     /// # Panics
@@ -455,14 +434,6 @@ impl Matrix {
                 self.data[(r0 + r) * self.cols + c0 + c] = block.data[r * block.cols + c];
             }
         }
-    }
-
-    /// LU decomposition with partial pivoting.
-    ///
-    /// # Errors
-    /// See [`LuDecomposition::new`].
-    pub fn lu(&self) -> Result<LuDecomposition, LinalgError> {
-        LuDecomposition::new(self)
     }
 
     /// Cholesky decomposition (requires symmetric positive definite input).
@@ -495,23 +466,7 @@ impl Matrix {
     /// Returns [`LinalgError::Singular`] when the matrix is singular and
     /// dimension errors when shapes mismatch.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        self.lu()?.solve(b)
-    }
-
-    /// Matrix inverse via LU.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::Singular`] for singular input.
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        self.lu()?.inverse()
-    }
-
-    /// Determinant via LU.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::NotSquare`] for non-square input.
-    pub fn determinant(&self) -> Result<f64, LinalgError> {
-        Ok(self.lu()?.determinant())
+        LuDecomposition::new(self)?.solve(b)
     }
 
     /// Projects a symmetric matrix onto the positive semidefinite cone by
@@ -542,14 +497,14 @@ impl Matrix {
             .cloned()
             .fold(f64::INFINITY, f64::min))
     }
+}
 
-    /// Estimates the 1-norm condition number via LU (exact inverse norm).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::Singular`] for singular input.
-    pub fn condition_number(&self) -> Result<f64, LinalgError> {
-        let inv = self.inverse()?;
-        Ok(self.one_norm() * inv.one_norm())
+/// Lets a constructor that can work in its argument's own buffer, such as
+/// [`Cholesky::new`], take either `&Matrix` (it copies) or
+/// `Cow::Owned(matrix)` (it does not).
+impl<'a> From<&'a Matrix> for Cow<'a, Matrix> {
+    fn from(m: &'a Matrix) -> Self {
+        Cow::Borrowed(m)
     }
 }
 
@@ -754,7 +709,6 @@ mod tests {
         let a = Matrix::from_rows(&[&[3.0, -4.0], &[0.0, 0.0]]).unwrap();
         assert_eq!(a.frobenius_norm(), 5.0);
         assert_eq!(a.inf_norm(), 7.0);
-        assert_eq!(a.one_norm(), 4.0);
         assert_eq!(a.max_abs(), 4.0);
     }
 
@@ -768,10 +722,8 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_and_blocks() {
-        let a = Matrix::from_fn(4, 4, |r, c| (r * 4 + c) as f64);
-        let s = a.submatrix(1, 3, 1, 3);
-        assert_eq!(s.as_slice(), &[5.0, 6.0, 9.0, 10.0]);
+    fn set_block_writes_at_offset() {
+        let s = Matrix::from_rows(&[&[5.0, 6.0], &[9.0, 10.0]]).unwrap();
         let mut b = Matrix::zeros(4, 4);
         b.set_block(2, 2, &s);
         assert_eq!(b[(2, 2)], 5.0);

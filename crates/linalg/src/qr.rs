@@ -26,12 +26,12 @@ pub struct QrDecomposition {
 impl QrDecomposition {
     /// Factorizes `a` (requires `rows >= cols`).
     ///
-    /// Delegates to the blocked compact-WY Householder kernel in
-    /// `rcr-kernels` at every size. The returned `R` is bit-identical to
-    /// the historical unblocked loop; `Q` is accumulated backward from the
-    /// stored reflectors onto a thin identity (`O(m·n²)` instead of the old
-    /// full `m x m` product), which agrees with the old `Q` to rounding —
-    /// all downstream consumers are tolerance-based least-squares solves.
+    /// Delegates to the Householder kernel in `rcr-kernels`. The returned
+    /// `R` is bit-identical to the historical loop; `Q` is accumulated
+    /// backward from the stored reflectors onto a thin identity (`O(m·n²)`
+    /// instead of the old full `m x m` product), which agrees with the old
+    /// `Q` to rounding — all downstream consumers are tolerance-based
+    /// least-squares solves.
     ///
     /// # Errors
     /// * [`LinalgError::InvalidInput`] when `rows < cols`.
@@ -49,8 +49,7 @@ impl QrDecomposition {
         let mut rv = a.clone();
         let mut vhead = vec![0.0; n];
         let mut vtv = vec![0.0; n];
-        let mut scratch = rcr_kernels::Scratch::new();
-        rcr_kernels::qr(rv.as_mut_slice(), m, n, &mut vhead, &mut vtv, &mut scratch);
+        rcr_kernels::qr(rv.as_mut_slice(), m, n, &mut vhead, &mut vtv);
         let mut q = Matrix::zeros(m, n);
         rcr_kernels::qr_thin_q(rv.as_slice(), m, n, &vhead, &vtv, q.as_mut_slice());
         // The strict lower triangle of `rv` stores the Householder vectors;

@@ -21,11 +21,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// 1-norm (sum of absolute values).
-pub fn norm1(a: &[f64]) -> f64 {
-    a.iter().map(|v| v.abs()).sum()
-}
-
 /// Infinity norm (maximum absolute value); `0.0` for an empty slice.
 pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0, |m, v| m.max(v.abs()))
@@ -76,17 +71,6 @@ pub fn distance(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Clamps every element of `x` into `[lo[i], hi[i]]`.
-///
-/// # Panics
-/// Panics in debug builds if lengths differ.
-pub fn clamp_box(x: &mut [f64], lo: &[f64], hi: &[f64]) {
-    debug_assert!(x.len() == lo.len() && x.len() == hi.len());
-    for ((xi, &l), &h) in x.iter_mut().zip(lo).zip(hi) {
-        *xi = xi.clamp(l, h);
-    }
-}
-
 /// True when every element is finite.
 pub fn is_finite(a: &[f64]) -> bool {
     a.iter().all(|v| v.is_finite())
@@ -106,12 +90,6 @@ pub fn argmax(a: &[f64]) -> Option<(usize, f64)> {
         }
     }
     best
-}
-
-/// Index and value of the minimum element; `None` for an empty slice.
-/// NaN entries are skipped.
-pub fn argmin(a: &[f64]) -> Option<(usize, f64)> {
-    argmax(&a.iter().map(|v| -v).collect::<Vec<_>>()).map(|(i, v)| (i, -v))
 }
 
 /// Arithmetic mean; `0.0` for an empty slice.
@@ -140,7 +118,6 @@ mod tests {
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm1(&[-1.0, 2.0]), 3.0);
         assert_eq!(norm_inf(&[-5.0, 2.0]), 5.0);
         assert_eq!(norm_inf(&[]), 0.0);
     }
@@ -161,16 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn clamp_box_respects_bounds() {
-        let mut x = vec![-2.0, 0.5, 9.0];
-        clamp_box(&mut x, &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
-        assert_eq!(x, vec![0.0, 0.5, 1.0]);
-    }
-
-    #[test]
-    fn argmax_argmin() {
+    fn argmax_skips_nan() {
         assert_eq!(argmax(&[1.0, 3.0, 2.0]), Some((1, 3.0)));
-        assert_eq!(argmin(&[1.0, 3.0, 2.0]), Some((0, 1.0)));
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[f64::NAN, 2.0]), Some((1, 2.0)));
     }

@@ -3,38 +3,8 @@
 use proptest::prelude::*;
 use rcr_linalg::{Cholesky, Matrix};
 
-fn diag_dominant(entries: &[f64], n: usize) -> Matrix {
-    let mut a = Matrix::from_vec(n, n, entries.to_vec()).expect("sized");
-    for i in 0..n {
-        let v = a[(i, i)];
-        a[(i, i)] = v + (n as f64) * 3.0 + 1.0;
-    }
-    a
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn lu_inverse_roundtrip(entries in prop::collection::vec(-2.0f64..2.0, 9)) {
-        let a = diag_dominant(&entries, 3);
-        let inv = a.inverse().unwrap();
-        let id = a.matmul(&inv).unwrap();
-        prop_assert!((&id - &Matrix::identity(3)).max_abs() < 1e-8);
-    }
-
-    #[test]
-    fn determinant_of_product_multiplies(
-        e1 in prop::collection::vec(-2.0f64..2.0, 9),
-        e2 in prop::collection::vec(-2.0f64..2.0, 9),
-    ) {
-        let a = diag_dominant(&e1, 3);
-        let b = diag_dominant(&e2, 3);
-        let da = a.determinant().unwrap();
-        let db = b.determinant().unwrap();
-        let dab = a.matmul(&b).unwrap().determinant().unwrap();
-        prop_assert!((dab - da * db).abs() < 1e-6 * dab.abs().max(1.0));
-    }
 
     #[test]
     fn cholesky_solves_spd_systems(
@@ -94,7 +64,7 @@ proptest! {
     fn eigen_reconstruction_and_trace(entries in prop::collection::vec(-2.0f64..2.0, 9)) {
         let a = Matrix::from_vec(3, 3, entries).unwrap().symmetrize().unwrap();
         let e = a.symmetric_eigen().unwrap();
-        prop_assert!((&e.reconstruct() - &a).max_abs() < 1e-8);
+        prop_assert!((&e.reconstruct_with(e.eigenvalues()).unwrap() - &a).max_abs() < 1e-8);
         let sum: f64 = e.eigenvalues().iter().sum();
         prop_assert!((sum - a.trace()).abs() < 1e-8);
         // Eigenvalues ascend.

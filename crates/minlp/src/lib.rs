@@ -172,57 +172,6 @@ impl Ord for TreeNode {
     }
 }
 
-/// Optimality-based bound tightening (OBBT-lite) — the "bound tightening"
-/// leg of the paper's §II quote ("identify those key combinatorial
-/// substructures … leveraged so as to improve the involved bound
-/// tightening and global optimization algorithms").
-///
-/// For each integer variable in turn, probe pinning it to its current
-/// extreme values: if the relaxation bound with `x_i = lo_i` already
-/// meets or exceeds `incumbent − gap`, no optimal solution lives there
-/// and the lower bound rises (symmetrically for the upper bound).
-/// Returns the tightened bounds and the number of domain values removed.
-///
-/// # Errors
-/// Propagates relaxation-solve failures.
-pub fn tighten_bounds<P: RelaxableProblem + ?Sized>(
-    problem: &P,
-    mut bounds: Vec<(i64, i64)>,
-    incumbent: f64,
-    gap: f64,
-) -> Result<(Vec<(i64, i64)>, usize), MinlpError> {
-    let n = bounds.len();
-    let mut removed = 0usize;
-    for i in 0..n {
-        // Raise the lower bound while the pinned-low relaxation is
-        // dominated by the incumbent.
-        while bounds[i].0 < bounds[i].1 {
-            let mut probe = bounds.clone();
-            probe[i] = (bounds[i].0, bounds[i].0);
-            let rel = problem.solve_relaxation(&probe)?;
-            if rel.lower_bound >= incumbent - gap {
-                bounds[i].0 += 1;
-                removed += 1;
-            } else {
-                break;
-            }
-        }
-        // Lower the upper bound symmetrically.
-        while bounds[i].1 > bounds[i].0 {
-            let mut probe = bounds.clone();
-            probe[i] = (bounds[i].1, bounds[i].1);
-            let rel = problem.solve_relaxation(&probe)?;
-            if rel.lower_bound >= incumbent - gap {
-                bounds[i].1 -= 1;
-                removed += 1;
-            } else {
-                break;
-            }
-        }
-    }
-    Ok((bounds, removed))
-}
-
 /// Solves the MINLP to proven optimality (within `settings.gap`).
 ///
 /// # Errors
@@ -649,39 +598,5 @@ mod tests {
         let p = SeparableQuadratic::new(vec![0.7, 0.2], (1, 1), None).unwrap();
         let r = solve(&p, &BnbSettings::default()).unwrap();
         assert_eq!(r.assignment, vec![1, 1]);
-    }
-
-    #[test]
-    fn obbt_shrinks_domains_without_cutting_the_optimum() {
-        // Unconstrained separable quadratic: optimum is the rounded
-        // targets; any incumbent near it lets OBBT carve away the far
-        // lattice values.
-        let p = SeparableQuadratic::new(vec![1.2, -0.6], (-10, 10), None).unwrap();
-        let opt = solve(&p, &BnbSettings::default()).unwrap();
-        let (tight, removed) =
-            tighten_bounds(&p, p.integer_bounds(), opt.objective + 0.5, 1e-9).unwrap();
-        assert!(removed > 0, "expected some domain reduction");
-        // The optimum survives inside the tightened box.
-        for (x, (lo, hi)) in opt.assignment.iter().zip(&tight) {
-            assert!(x >= lo && x <= hi, "optimum {x} cut from [{lo}, {hi}]");
-        }
-        // And the tightened box is strictly smaller than the original.
-        let orig_size: i64 = p.integer_bounds().iter().map(|(l, h)| h - l + 1).sum();
-        let new_size: i64 = tight.iter().map(|(l, h)| h - l + 1).sum();
-        assert!(new_size < orig_size);
-        // Brute force inside the tightened box still finds the optimum.
-        let mut best = f64::INFINITY;
-        let mut best_x = vec![];
-        for a in tight[0].0..=tight[0].1 {
-            for b in tight[1].0..=tight[1].1 {
-                let v = p.objective(&[a as f64, b as f64]);
-                if v < best {
-                    best = v;
-                    best_x = vec![a, b];
-                }
-            }
-        }
-        assert_eq!(best_x, opt.assignment);
-        assert!((best - opt.objective).abs() < 1e-12);
     }
 }

@@ -398,43 +398,6 @@ pub fn average_precision(
     Ok(ap)
 }
 
-/// Greedy non-maximum suppression: returns the indices of the kept
-/// detections, in descending confidence order.
-///
-/// Detections are ranked by confidence with NaN ranking *below every
-/// real score* (see the module's NaN ordering policy); rank ties break
-/// toward the lower input index, so the result is fully deterministic
-/// for any input, NaN and duplicates included. A detection is dropped
-/// when a higher-ranked kept box overlaps it with IoU strictly above
-/// `iou_threshold`.
-///
-/// # Errors
-/// Returns [`NnError::InvalidParameter`] when `iou_threshold` is not a
-/// number in `[0, 1]`.
-pub fn non_max_suppression(
-    detections: &[(Box2d, f64)],
-    iou_threshold: f64,
-) -> Result<Vec<usize>, NnError> {
-    if !(0.0..=1.0).contains(&iou_threshold) {
-        return Err(NnError::InvalidParameter(format!(
-            "iou_threshold {iou_threshold} must be in [0, 1]"
-        )));
-    }
-    let mut order: Vec<usize> = (0..detections.len()).collect();
-    // Stable sort: equal keys (including NaN/NaN) keep index order.
-    order.sort_by(|&a, &b| nan_last_desc(detections[a].1, detections[b].1));
-    let mut kept: Vec<usize> = Vec::new();
-    for &i in &order {
-        let suppressed = kept
-            .iter()
-            .any(|&k| detections[k].0.iou(&detections[i].0) > iou_threshold);
-        if !suppressed {
-            kept.push(i);
-        }
-    }
-    Ok(kept)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,40 +670,6 @@ mod tests {
             w: 0.2,
             h: 0.2,
         }
-    }
-
-    #[test]
-    fn nms_keeps_best_of_overlapping_cluster() {
-        let dets = vec![
-            (unit_box(0.5, 0.5), 0.9),
-            (unit_box(0.51, 0.5), 0.8), // overlaps the first
-            (unit_box(0.1, 0.1), 0.7),  // disjoint
-        ];
-        let kept = non_max_suppression(&dets, 0.5).unwrap();
-        assert_eq!(kept, vec![0, 2]);
-        assert!(non_max_suppression(&dets, 1.5).is_err());
-        assert!(non_max_suppression(&dets, f64::NAN).is_err());
-    }
-
-    // NaN regression (Fig. 3 defect class): a NaN confidence must not
-    // panic the ranking and must rank below every real detection.
-    #[test]
-    fn nms_nan_confidence_never_panics_and_ranks_last() {
-        let dets = vec![
-            (unit_box(0.5, 0.5), f64::NAN),
-            (unit_box(0.5, 0.5), 0.3), // same box, real confidence
-            (unit_box(0.1, 0.1), f64::NAN),
-        ];
-        let kept = non_max_suppression(&dets, 0.5).unwrap();
-        // The real detection outranks its NaN duplicate, which is then
-        // suppressed by IoU; the disjoint NaN survives at the tail.
-        assert_eq!(kept, vec![1, 2]);
-        // All-NaN input: rank ties break by index — fully deterministic.
-        let all_nan = vec![
-            (unit_box(0.5, 0.5), f64::NAN),
-            (unit_box(0.1, 0.1), f64::NAN),
-        ];
-        assert_eq!(non_max_suppression(&all_nan, 0.5).unwrap(), vec![0, 1]);
     }
 
     #[test]

@@ -16,11 +16,6 @@ impl Network {
         Network { layers }
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total trainable parameter count.
     pub fn param_count(&self) -> usize {
         self.layers.iter().map(|l| l.param_count()).sum()
@@ -144,17 +139,6 @@ impl Optimizer {
         }
     }
 
-    /// SGD with momentum.
-    pub fn sgd_momentum(lr: f64, momentum: f64) -> Self {
-        Optimizer {
-            kind: OptKind::Sgd { momentum },
-            lr,
-            m: Vec::new(),
-            v: Vec::new(),
-            t: 0,
-        }
-    }
-
     /// Adam with the standard DCGAN-friendly defaults (β₁ = 0.5).
     pub fn adam(lr: f64) -> Self {
         Optimizer {
@@ -173,11 +157,6 @@ impl Optimizer {
     /// Current learning rate.
     pub fn learning_rate(&self) -> f64 {
         self.lr
-    }
-
-    /// Replaces the learning rate (for schedules).
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
     }
 
     fn ensure_slot(&mut self, slot: usize, len: usize) {
@@ -228,28 +207,6 @@ impl Optimizer {
     }
 }
 
-/// Mean-squared-error loss: returns `(loss, dL/dpred)`.
-///
-/// # Errors
-/// Returns [`NnError::ShapeMismatch`] when shapes differ.
-pub fn mse_loss(pred: &Tensor, target: &Tensor) -> Result<(f64, Tensor), NnError> {
-    if pred.shape() != target.shape() {
-        return Err(NnError::ShapeMismatch {
-            op: "mse",
-            got: pred.shape().to_vec(),
-        });
-    }
-    let n = pred.len().max(1) as f64;
-    let mut grad = pred.clone();
-    let mut loss = 0.0;
-    for (g, &t) in grad.data_mut().iter_mut().zip(target.data()) {
-        let d = *g - t;
-        loss += d * d;
-        *g = 2.0 * d / n;
-    }
-    Ok((loss / n, grad))
-}
-
 /// Binary cross-entropy on logits: returns `(loss, dL/dlogit)`.
 /// Uses the fused softplus form — numerically stable for large logits
 /// (the §V lesson applied to the GAN loss).
@@ -293,7 +250,6 @@ mod tests {
     fn param_count_sums_layers() {
         let net = xor_net(0);
         assert_eq!(net.param_count(), (2 * 8 + 8) + (8 * 1 + 1));
-        assert_eq!(net.num_layers(), 3);
     }
 
     #[test]
@@ -305,30 +261,20 @@ mod tests {
         let mut last = f64::INFINITY;
         for _ in 0..800 {
             let y = net.forward(&x).unwrap();
-            let (loss, grad) = mse_loss(&y, &t).unwrap();
+            // Mean squared error and its gradient 2(y − t)/n.
+            let n = y.len() as f64;
+            let mut grad = y.clone();
+            let mut loss = 0.0;
+            for (g, &t) in grad.data_mut().iter_mut().zip(t.data()) {
+                let d = *g - t;
+                loss += d * d;
+                *g = 2.0 * d / n;
+            }
             net.backward(&grad).unwrap();
             net.step(&mut opt);
-            last = loss;
+            last = loss / n;
         }
         assert!(last < 0.01, "final loss {last}");
-    }
-
-    #[test]
-    fn learns_linear_regression_with_sgd_momentum() {
-        let mut net = Network::new(vec![Box::new(Linear::new(1, 1, 7).unwrap())]);
-        let mut opt = Optimizer::sgd_momentum(0.05, 0.9);
-        for _ in 0..300 {
-            let x = Tensor::from_vec(vec![3, 1], vec![-1.0, 0.5, 2.0]).unwrap();
-            let t = Tensor::from_vec(vec![3, 1], vec![-3.0, 1.5, 6.0]).unwrap(); // y = 3x
-            let y = net.forward(&x).unwrap();
-            let (_, grad) = mse_loss(&y, &t).unwrap();
-            net.backward(&grad).unwrap();
-            net.step(&mut opt);
-        }
-        let y = net
-            .infer(&Tensor::from_vec(vec![1, 1], vec![10.0]).unwrap())
-            .unwrap();
-        assert!((y.data()[0] - 30.0).abs() < 0.1, "{}", y.data()[0]);
     }
 
     #[test]
@@ -348,16 +294,6 @@ mod tests {
             }
         }
         assert!((sq.sqrt() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mse_loss_values() {
-        let p = Tensor::from_vec(vec![2], vec![1.0, 2.0]).unwrap();
-        let t = Tensor::from_vec(vec![2], vec![0.0, 2.0]).unwrap();
-        let (loss, grad) = mse_loss(&p, &t).unwrap();
-        assert!((loss - 0.5).abs() < 1e-12);
-        assert_eq!(grad.data(), &[1.0, 0.0]);
-        assert!(mse_loss(&p, &Tensor::zeros(vec![3])).is_err());
     }
 
     #[test]

@@ -103,12 +103,6 @@ pub fn trapezoid(
     })
 }
 
-/// One step of Richardson extrapolation for a second-order method:
-/// combines evaluations at step `h` and `h/2` to cancel the `O(h²)` term.
-pub fn richardson2(coarse: f64, fine: f64) -> f64 {
-    fine + (fine - coarse) / 3.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,14 +166,5 @@ mod tests {
         assert!(trapezoid(|x| x, 0.0, 1.0, 0).is_err());
         assert!(trapezoid(|x| x, 1.0, 0.0, 4).is_err());
         assert!(trapezoid(|_| f64::NAN, 0.0, 1.0, 4).is_err());
-    }
-
-    #[test]
-    fn richardson_improves_trapezoid() {
-        let exact = 1.0 / 3.0;
-        let c = trapezoid(|x| x * x, 0.0, 1.0, 8).unwrap().value;
-        let f = trapezoid(|x| x * x, 0.0, 1.0, 16).unwrap().value;
-        let r = richardson2(c, f);
-        assert!((r - exact).abs() < (f - exact).abs() / 10.0);
     }
 }

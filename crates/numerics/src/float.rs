@@ -1,79 +1,9 @@
-//! Floating-point representation tools and defect scanning.
+//! Floating-point defect scanning.
 //!
 //! §IV-B of the paper walks through round-off, overflow and underflow as the
 //! three representation-level error sources. This module provides the
-//! measurement tools (ULP distance, relative error) and the
 //! [`FloatAudit`] scanner the E3 conformance suite uses to classify a
 //! kernel's output as clean or defective.
-
-/// Distance between two floats in units-in-the-last-place steps.
-///
-/// Returns `u64::MAX` when either input is NaN. The measure is symmetric
-/// and treats `+0.0`/`-0.0` as adjacent.
-pub fn ulp_distance(a: f64, b: f64) -> u64 {
-    if a.is_nan() || b.is_nan() {
-        return u64::MAX;
-    }
-    // Map to a monotonic integer line (two's-complement style trick).
-    fn key(x: f64) -> i64 {
-        let bits = x.to_bits() as i64;
-        if bits < 0 {
-            i64::MIN.wrapping_add(bits.wrapping_neg())
-        } else {
-            bits
-        }
-    }
-    let (ka, kb) = (key(a), key(b));
-    ka.abs_diff(kb)
-}
-
-/// Relative error `|a - b| / max(|b|, tiny)`; exact zeros compare to
-/// absolute error.
-pub fn relative_error(approx: f64, exact: f64) -> f64 {
-    let denom = exact.abs().max(f64::MIN_POSITIVE);
-    (approx - exact).abs() / if exact == 0.0 { 1.0 } else { denom }
-}
-
-/// Would `a * b` overflow the finite f64 range?
-pub fn mul_overflows(a: f64, b: f64) -> bool {
-    let p = a * b;
-    p.is_infinite() && a.is_finite() && b.is_finite()
-}
-
-/// Would `a * b` underflow to a subnormal or zero despite both factors
-/// being nonzero normal numbers?
-pub fn mul_underflows(a: f64, b: f64) -> bool {
-    if a == 0.0 || b == 0.0 || !a.is_normal() || !b.is_normal() {
-        return false;
-    }
-    let p = a * b;
-    p == 0.0 || (p != 0.0 && !p.is_normal())
-}
-
-/// Severity classification for a single scanned buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FloatDefect {
-    /// At least one NaN was produced.
-    Nan,
-    /// At least one infinity was produced (overflow).
-    Overflow,
-    /// Subnormal values appeared (gradual underflow in progress).
-    Subnormal,
-    /// All values are clean normal/zero floats.
-    Clean,
-}
-
-impl std::fmt::Display for FloatDefect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            FloatDefect::Nan => "NaN",
-            FloatDefect::Overflow => "overflow",
-            FloatDefect::Subnormal => "subnormal",
-            FloatDefect::Clean => "clean",
-        };
-        f.write_str(s)
-    }
-}
 
 /// Summary statistics from scanning a buffer of floats for representation
 /// defects.
@@ -117,20 +47,6 @@ impl FloatAudit {
         audit
     }
 
-    /// The dominant defect class, in severity order NaN > overflow >
-    /// subnormal > clean.
-    pub fn dominant_defect(&self) -> FloatDefect {
-        if self.nan_count > 0 {
-            FloatDefect::Nan
-        } else if self.inf_count > 0 {
-            FloatDefect::Overflow
-        } else if self.subnormal_count > 0 {
-            FloatDefect::Subnormal
-        } else {
-            FloatDefect::Clean
-        }
-    }
-
     /// True when no NaN/inf entries were found.
     pub fn is_finite(&self) -> bool {
         self.nan_count == 0 && self.inf_count == 0
@@ -142,55 +58,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ulp_distance_adjacent_floats() {
-        let a = 1.0f64;
-        let b = f64::from_bits(a.to_bits() + 1);
-        assert_eq!(ulp_distance(a, b), 1);
-        assert_eq!(ulp_distance(a, a), 0);
-    }
-
-    #[test]
-    fn ulp_distance_across_zero() {
-        assert_eq!(ulp_distance(0.0, -0.0), 0);
-        let tiny = f64::from_bits(1);
-        assert_eq!(ulp_distance(tiny, -tiny), 2);
-    }
-
-    #[test]
-    fn ulp_distance_nan_is_max() {
-        assert_eq!(ulp_distance(f64::NAN, 1.0), u64::MAX);
-    }
-
-    #[test]
-    fn relative_error_basics() {
-        assert_eq!(relative_error(1.1, 1.0), 0.10000000000000009);
-        assert_eq!(relative_error(0.0, 0.0), 0.0);
-        assert!(relative_error(1e-20, 0.0) > 0.0);
-    }
-
-    #[test]
-    fn overflow_underflow_predicates() {
-        assert!(mul_overflows(1e200, 1e200));
-        assert!(!mul_overflows(1e10, 1e10));
-        assert!(mul_underflows(1e-200, 1e-200));
-        assert!(!mul_underflows(1e-2, 1e-2));
-        assert!(!mul_underflows(0.0, 1e-300));
-    }
-
-    #[test]
     fn audit_classifies_defects() {
         let a = FloatAudit::scan(&[1.0, f64::NAN, 2.0]);
-        assert_eq!(a.dominant_defect(), FloatDefect::Nan);
         assert_eq!(a.nan_count, 1);
+        assert!(!a.is_finite());
 
         let b = FloatAudit::scan(&[1.0, f64::INFINITY]);
-        assert_eq!(b.dominant_defect(), FloatDefect::Overflow);
+        assert_eq!(b.inf_count, 1);
+        assert!(!b.is_finite());
 
         let c = FloatAudit::scan(&[1.0, 1e-320]);
-        assert_eq!(c.dominant_defect(), FloatDefect::Subnormal);
+        assert_eq!(c.subnormal_count, 1);
+        assert!(c.is_finite());
 
         let d = FloatAudit::scan(&[0.0, 1.0, -2.0]);
-        assert_eq!(d.dominant_defect(), FloatDefect::Clean);
+        assert_eq!((d.nan_count, d.inf_count, d.subnormal_count), (0, 0, 0));
         assert!(d.is_finite());
         assert_eq!(d.zero_count, 1);
         assert_eq!(d.max_abs, 2.0);
@@ -199,13 +81,7 @@ mod tests {
     #[test]
     fn audit_empty_is_clean() {
         let a = FloatAudit::scan(&[]);
-        assert_eq!(a.dominant_defect(), FloatDefect::Clean);
-        assert_eq!(a.total, 0);
-    }
-
-    #[test]
-    fn defect_display() {
-        assert_eq!(FloatDefect::Nan.to_string(), "NaN");
-        assert_eq!(FloatDefect::Clean.to_string(), "clean");
+        assert_eq!(a, FloatAudit::default());
+        assert!(a.is_finite());
     }
 }

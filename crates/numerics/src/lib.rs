@@ -13,9 +13,8 @@
 //! * [`approx`] — the truncation-error demonstrations of Eqs. 3–4: Taylor
 //!   polynomial approximation of `exp` and composite trapezoidal
 //!   integration, each with an a-priori error model to compare against.
-//! * [`float`] — ULP distances, relative error, overflow/underflow guards
-//!   and the [`float::FloatAudit`] scanner used by the E3 conformance suite
-//!   to classify numerical defects.
+//! * [`float`] — the [`float::FloatAudit`] scanner used by the E3
+//!   conformance suite to classify numerical defects.
 //!
 //! # Example
 //!

@@ -79,25 +79,6 @@ pub fn softplus(x: f64) -> f64 {
     }
 }
 
-/// Overflow-free Euclidean norm of a 2-vector (hypot with explicit scaling,
-/// mirroring the classic library kernel).
-pub fn stable_hypot(x: f64, y: f64) -> f64 {
-    let (a, b) = (x.abs(), y.abs());
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    if hi == 0.0 {
-        return 0.0;
-    }
-    let r = lo / hi;
-    hi * (1.0 + r * r).sqrt()
-}
-
-/// Relative-error-safe comparison: true when `a` and `b` agree to `rel_tol`
-/// relative or `abs_tol` absolute tolerance.
-pub fn approx_eq(a: f64, b: f64, rel_tol: f64, abs_tol: f64) -> bool {
-    let diff = (a - b).abs();
-    diff <= abs_tol || diff <= rel_tol * a.abs().max(b.abs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,20 +147,5 @@ mod tests {
         assert!((softplus(100.0) - 100.0).abs() < 1e-12);
         assert!(softplus(-100.0) > 0.0);
         assert!((softplus(0.0) - 2f64.ln()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn hypot_avoids_overflow() {
-        let h = stable_hypot(1e200, 1e200);
-        assert!(h.is_finite());
-        assert!((h - 1e200 * std::f64::consts::SQRT_2).abs() / h < 1e-14);
-        assert_eq!(stable_hypot(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn approx_eq_behaviour() {
-        assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-9, 0.0));
-        assert!(!approx_eq(1.0, 1.1, 1e-9, 0.0));
-        assert!(approx_eq(0.0, 1e-15, 0.0, 1e-12));
     }
 }

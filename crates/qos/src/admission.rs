@@ -134,27 +134,6 @@ pub fn admit(problem: &RraProblem, classes: &[QosClass]) -> Result<AdmissionResu
     })
 }
 
-/// One admission request: a cell's RRA problem plus the service class of
-/// each connection.
-pub type AdmissionRequest = (RraProblem, Vec<QosClass>);
-
-/// Runs [`admit`] over many independent cells/epochs, fanning the
-/// requests across `workers` threads (`0` = auto: the `RCR_WORKERS`
-/// environment variable, else serial).
-///
-/// Results are returned in input order and are identical to calling
-/// [`admit`] per request serially, for every worker count; per-request
-/// errors are reported in place rather than aborting the batch.
-pub fn admit_batch(
-    requests: &[AdmissionRequest],
-    workers: usize,
-) -> Vec<Result<AdmissionResult, QosError>> {
-    let workers = rcr_runtime::resolve_workers(workers);
-    rcr_runtime::parallel_map(requests, workers, |_, (problem, classes)| {
-        admit(problem, classes)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -180,19 +180,6 @@ impl Scenario {
         )?;
         Ok(Scenario { rra, classes })
     }
-
-    /// Per-class user counts `(eMBB, URLLC, mMTC)`.
-    pub fn class_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0usize, 0usize, 0usize);
-        for c in &self.classes {
-            match c {
-                QosClass::Embb => counts.0 += 1,
-                QosClass::Urllc => counts.1 += 1,
-                QosClass::Mmtc => counts.2 += 1,
-            }
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -217,14 +204,19 @@ mod tests {
             ..Default::default()
         };
         let s = Scenario::generate(&cfg, 1).unwrap();
-        assert_eq!(s.class_counts(), (300, 0, 0));
+        assert!(s.classes.iter().all(|&c| c == QosClass::Embb));
         let cfg = ScenarioConfig {
             users: 300,
             class_mix: (1.0, 1.0, 1.0),
             ..Default::default()
         };
         let s = Scenario::generate(&cfg, 2).unwrap();
-        let (e, u, m) = s.class_counts();
+        let count = |class| s.classes.iter().filter(|&&c| c == class).count();
+        let (e, u, m) = (
+            count(QosClass::Embb),
+            count(QosClass::Urllc),
+            count(QosClass::Mmtc),
+        );
         assert!(e > 50 && u > 50 && m > 50, "({e},{u},{m})");
     }
 

@@ -39,14 +39,6 @@ impl Complex64 {
         }
     }
 
-    /// Creates from polar form `r·e^{iθ}`.
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Complex64 {
-            re: r * theta.cos(),
-            im: r * theta.sin(),
-        }
-    }
-
     /// Complex conjugate.
     pub fn conj(self) -> Self {
         Complex64 {
@@ -210,7 +202,7 @@ mod tests {
 
     #[test]
     fn polar_roundtrip() {
-        let z = Complex64::from_polar(2.0, PI / 3.0);
+        let z = Complex64::new(2.0 * (PI / 3.0).cos(), 2.0 * (PI / 3.0).sin());
         assert!((z.abs() - 2.0).abs() < 1e-14);
         assert!((z.arg() - PI / 3.0).abs() < 1e-14);
     }

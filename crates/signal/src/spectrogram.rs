@@ -75,12 +75,6 @@ impl Spectrogram {
     pub fn total_power(&self) -> f64 {
         self.data.iter().flatten().sum()
     }
-
-    /// Flattens to a single row-major buffer (frames x bins) — the tensor
-    /// layout the neural-network crate consumes.
-    pub fn to_flat(&self) -> Vec<f64> {
-        self.data.iter().flatten().cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -181,10 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn flat_layout_matches_dims() {
+    fn total_power_of_a_nonzero_signal_is_positive() {
         let s: Vec<f64> = (0..64).map(|i| i as f64 * 0.01).collect();
         let sp = make(&s);
-        assert_eq!(sp.to_flat().len(), sp.num_frames() * sp.num_bins());
         assert!(sp.total_power() > 0.0);
     }
 }

@@ -394,11 +394,6 @@ impl Stft {
         self.signal_len
     }
 
-    /// Mutable access to the coefficient matrix (for spectral processing).
-    pub fn frames_mut(&mut self) -> &mut [Vec<Complex64>] {
-        &mut self.data
-    }
-
     /// The phase factor converting a coefficient at frame `n`, bin `m`
     /// from convention `from` to convention `to` (everything else equal):
     /// `X_to[m,n] = factor · X_from[m,n]`.

@@ -91,41 +91,6 @@ pub fn window(
     Ok(out)
 }
 
-/// Checks the constant-overlap-add (COLA) property of `w` at hop `hop`:
-/// returns the maximum relative deviation of `Σ_m w[n - m·hop]²` from its
-/// mean over one hop period. Values near 0 mean perfect ISTFT
-/// reconstruction with the standard squared-window normalization.
-///
-/// # Errors
-/// Returns [`SignalError::InvalidParameter`] when `hop == 0` or
-/// `hop > w.len()`.
-pub fn cola_deviation(w: &[f64], hop: usize) -> Result<f64, SignalError> {
-    if hop == 0 || hop > w.len() {
-        return Err(SignalError::InvalidParameter(format!(
-            "hop {hop} invalid for window of length {}",
-            w.len()
-        )));
-    }
-    // Accumulate squared-window overlap over one period.
-    let mut acc = vec![0.0; hop];
-    let mut m = 0usize;
-    while m < w.len() {
-        for n in 0..hop {
-            let idx = m + n;
-            if idx < w.len() {
-                acc[n] += w[idx] * w[idx];
-            }
-        }
-        m += hop;
-    }
-    let mean: f64 = acc.iter().sum::<f64>() / hop as f64;
-    if mean == 0.0 {
-        return Ok(f64::INFINITY);
-    }
-    let dev = acc.iter().map(|v| (v - mean).abs()).fold(0.0, f64::max);
-    Ok(dev / mean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,31 +158,5 @@ mod tests {
     fn length_one_is_unity() {
         let w = window(WindowKind::Blackman, WindowSymmetry::Periodic, 1).unwrap();
         assert_eq!(w, vec![1.0]);
-    }
-
-    #[test]
-    fn periodic_hann_squared_satisfies_cola_at_quarter_hop() {
-        // Hann² (the ISTFT weighting) is COLA at hop = N/4, not N/2:
-        // the four shifted cos² copies sum to a constant.
-        let w = window(WindowKind::Hann, WindowSymmetry::Periodic, 64).unwrap();
-        let dev = cola_deviation(&w, 16).unwrap();
-        assert!(dev < 1e-12, "dev = {dev}");
-        // Half-window hop leaves a cos² ripple.
-        let dev2 = cola_deviation(&w, 32).unwrap();
-        assert!(dev2 > 1e-3, "dev2 = {dev2}");
-    }
-
-    #[test]
-    fn symmetric_hann_breaks_cola() {
-        let w = window(WindowKind::Hann, WindowSymmetry::Symmetric, 64).unwrap();
-        let dev = cola_deviation(&w, 16).unwrap();
-        assert!(dev > 1e-6, "symmetric window unexpectedly COLA: {dev}");
-    }
-
-    #[test]
-    fn cola_validates_hop() {
-        let w = vec![1.0; 8];
-        assert!(cola_deviation(&w, 0).is_err());
-        assert!(cola_deviation(&w, 9).is_err());
     }
 }

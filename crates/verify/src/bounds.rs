@@ -38,24 +38,6 @@ impl LayerBounds {
         self.post.last().expect("at least one layer")
     }
 
-    /// Number of *unstable* ReLU neurons (pre-activation straddles 0) —
-    /// the combinatorial hardness measure for complete verification.
-    pub fn unstable_count(&self) -> usize {
-        // The last layer has no ReLU; skip it.
-        self.pre[..self.pre.len().saturating_sub(1)]
-            .iter()
-            .flatten()
-            .filter(|&&(lo, hi)| lo < 0.0 && hi > 0.0)
-            .count()
-    }
-
-    /// Mean width of the output box — the bound-tightness metric used by
-    /// experiment E10.
-    pub fn output_mean_width(&self) -> f64 {
-        let out = self.output();
-        out.iter().map(|(lo, hi)| hi - lo).sum::<f64>() / out.len().max(1) as f64
-    }
-
     /// Returns the per-layer bound buffers to `scratch` so the next
     /// propagation through [`interval_bounds_scratch`] can reuse them
     /// instead of allocating. Branch-and-bound calls this once per node.
@@ -238,18 +220,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn unstable_count_reflects_straddling_neurons() {
-        let net = abs_net();
-        // Box entirely positive: the −x branch is stably inactive, the +x
-        // branch stably active → 0 unstable.
-        let b = interval_bounds(&net, &[(0.5, 1.0)]).unwrap();
-        assert_eq!(b.unstable_count(), 0);
-        // Box straddling 0: both neurons unstable.
-        let b = interval_bounds(&net, &[(-1.0, 1.0)]).unwrap();
-        assert_eq!(b.unstable_count(), 2);
     }
 
     #[test]

@@ -234,52 +234,6 @@ pub fn crown_output_bounds_parallel(
     per_output.into_iter().collect()
 }
 
-/// Largest `ε` in `[0, max_eps]` (to resolution `tol`) at which the
-/// *relaxed* verifier still certifies `spec` on the `ε`-ball around
-/// `center` — the incomplete-verifier analogue of
-/// [`crate::exact::certified_radius`]. Because the bound is conservative,
-/// this radius is always ≤ the exact certified radius; the difference is
-/// the paper's "convex relaxation barrier" in radius units.
-///
-/// # Errors
-/// Propagates bound-computation errors; rejects non-positive `max_eps`
-/// or `tol`.
-pub fn relaxed_certified_radius(
-    net: &AffineReluNet,
-    center: &[f64],
-    spec: &Specification,
-    max_eps: f64,
-    tol: f64,
-) -> Result<f64, VerifyError> {
-    if !(max_eps > 0.0) || !(tol > 0.0) {
-        return Err(VerifyError::InvalidInput(
-            "max_eps and tol must be positive".into(),
-        ));
-    }
-    let ball =
-        |eps: f64| -> Vec<(f64, f64)> { center.iter().map(|&c| (c - eps, c + eps)).collect() };
-    let holds = |eps: f64| -> Result<bool, VerifyError> {
-        Ok(crown_lower(net, &ball(eps), spec)?.lower > 0.0)
-    };
-    if spec.eval(&net.eval(center)?) <= 0.0 {
-        return Ok(0.0);
-    }
-    if holds(max_eps)? {
-        return Ok(max_eps);
-    }
-    let mut lo = 0.0;
-    let mut hi = max_eps;
-    while hi - lo > tol {
-        let mid = 0.5 * (lo + hi);
-        if holds(mid)? {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,32 +382,5 @@ mod tests {
             offset: 0.0,
         };
         assert!(crown_lower(&net, &[(0.0, 1.0)], &bad_spec).is_err());
-    }
-
-    #[test]
-    fn relaxed_radius_never_exceeds_exact() {
-        // f(x) = |x| − 0.2 > 0 holds on the ball around 0.6 of radius 0.4
-        // exactly; CROWN certifies a subset of that.
-        let net = abs_net();
-        let spec = Specification {
-            c: vec![1.0],
-            offset: -0.2,
-        };
-        let relaxed = relaxed_certified_radius(&net, &[0.6], &spec, 1.0, 1e-3).unwrap();
-        let exact = crate::exact::certified_radius(
-            &net,
-            &[0.6],
-            &spec,
-            1.0,
-            1e-3,
-            &crate::exact::BnbSettings::default(),
-        )
-        .unwrap();
-        assert!(relaxed <= exact + 1e-3, "relaxed {relaxed} > exact {exact}");
-        assert!(relaxed > 0.0);
-        // Misclassified center → zero radius, mirroring the exact API.
-        let r0 = relaxed_certified_radius(&net, &[0.1], &spec, 1.0, 1e-3).unwrap();
-        assert_eq!(r0, 0.0);
-        assert!(relaxed_certified_radius(&net, &[0.6], &spec, -1.0, 1e-3).is_err());
     }
 }
