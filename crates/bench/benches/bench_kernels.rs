@@ -1,4 +1,4 @@
-//! Regression benchmarks backing the committed `BENCH_13.json` baseline:
+//! Regression benchmarks backing the committed `BENCH_14.json` baseline:
 //! the blocked GEMM microkernel against the naive triple loop, the
 //! blocked factorization layer (Cholesky, the PSD projection's
 //! eigensolver, the batched small-matrix path) against its unblocked /
@@ -16,7 +16,7 @@
 //! cargo bench -p rcr-bench --bench bench_kernels --features alloc-count \
 //!     -- --save-json "$PWD/target/bench_current.json"
 //! cargo run -p rcr-bench --bin bench_gate -- \
-//!     target/bench_current.json BENCH_13.json
+//!     target/bench_current.json BENCH_14.json
 //! ```
 //!
 //! All inputs are fixed splitmix64 streams so wall times and (for the
@@ -274,13 +274,15 @@ fn bench_cholesky(c: &mut Criterion) {
 
 /// The SDP solver's per-iteration hot path: projection of a symmetric
 /// iterate onto the PSD cone. `jacobi` is the historical cyclic-Jacobi
-/// eigensolver followed by the `V·diag·Vᵀ` rebuild
-/// `SymmetricEigen::reconstruct_with` performs; `blocked` is what
-/// [`Matrix::psd_projection`] runs — `SymmetricEigen::new`, the blocked
-/// tridiagonalization + implicit-QL kernel at every size. The baseline
-/// pins the end-to-end projection speedup this rewiring bought.
-/// `tracemin` is a whole SDP solve at n = 24 and n = 32, each pinned by
-/// its p25 and allocation count.
+/// eigensolver followed by a `V·diag·Vᵀ` rebuild; `blocked` is
+/// [`Matrix::psd_projection`] on a random indefinite n = 64 matrix, whose
+/// smaller side is about half the spectrum, so it takes the full route
+/// (tridiagonalization, implicit QL, one GEMM). The baseline pins the
+/// end-to-end projection speedup over Jacobi. `rank2` is the relax-drift
+/// input, a rank-2-plus-diagonal n = 32 covariance shifted by its mean
+/// eigenvalue: two positive modes, so the partial route computes only
+/// those. `tracemin` is a whole SDP solve at n = 24 and n = 32, each
+/// pinned by its p25 and allocation count.
 fn bench_sdp(c: &mut Criterion) {
     let mut group = c.benchmark_group("sdp");
     group.sample_size(20);
@@ -296,6 +298,17 @@ fn bench_sdp(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("projection/blocked", n), &n, |be, _| {
         be.iter(|| black_box(&a).psd_projection().expect("projection")[(0, 0)])
+    });
+    let n = 32usize;
+    let v = Matrix::from_vec(n, 2, weights(n * 2, 0x89)).expect("shape");
+    let d: Vec<f64> = (0..n).map(|i| 0.5 + 0.03 * i as f64).collect();
+    let mut shifted = synth_low_rank_plus_diag(&v, &d).expect("shape");
+    let mean = shifted.trace() / n as f64;
+    for i in 0..n {
+        shifted[(i, i)] -= mean;
+    }
+    group.bench_with_input(BenchmarkId::new("projection/rank2", n), &n, |be, _| {
+        be.iter(|| black_box(&shifted).psd_projection().expect("projection")[(0, 0)])
     });
     // The whole trace-minimization SDP (Eq. 9/10) on fixed rank-2
     // inputs: m = n(n−1)/2 two-nonzero constraints on disjoint supports

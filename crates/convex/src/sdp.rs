@@ -13,7 +13,9 @@
 //!
 //! * X-update: Euclidean projection of `Z − U − C/ρ` onto `{A(X) = b}`
 //!   (one pre-factorized Gram solve);
-//! * Z-update: [`rcr_linalg::Matrix::psd_projection`] of `X + U`;
+//! * Z-update: the PSD projection of `X + U`, in place
+//!   ([`rcr_linalg::Matrix::project_psd_in_place`], one buffer and one
+//!   `Scratch` pool for the whole solve);
 //! * U-update: dual ascent.
 //!
 //! This is a scaled-down cousin of SCS/SDPT3, adequate for the ≤ ~60×60
@@ -30,9 +32,11 @@
 //! * an iteration's X-update (gather `A(M) − b`, solve with the Gram,
 //!   scatter `M − Σ wᵢAᵢ`) is O(nnz) on disjoint supports and
 //!   O(nnz + m²) otherwise (two triangular solves), plus the Z-update's
-//!   O(n³) eigendecomposition: the blocked tridiagonalization +
-//!   implicit-QL kernel behind [`rcr_linalg::SymmetricEigen`], one
-//!   eigensolver at every cone size.
+//!   O(n³) tridiagonal reduction. When one side of the spectrum has at
+//!   most a third of the eigenvalues (two of n in the trace-min
+//!   iterates), only that side's k eigenpairs are computed, by bisection
+//!   and inverse iteration, for O(n²k) more; otherwise every eigenpair
+//!   (implicit QL) and `V·diag·Vᵀ`, O(n³).
 //!
 //! The trace-minimization SDP of [`crate::rankmin`] has two nonzeros per
 //! constraint on disjoint supports, so its set-up and X-update cost
@@ -248,12 +252,14 @@ impl SdpProblem {
         };
 
         // The iterates live in buffers made once and reused by every
-        // iteration; only the PSD projection returns a new matrix.
+        // iteration, and the PSD projection works in place on `X + U`
+        // with its kernel workspaces drawn from one pool.
         let c_rho = &self.c * (1.0 / rho);
         let m = self.constraints.len();
         let (mut resid, mut work, mut w) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
+        let mut scratch = rcr_kernels::Scratch::new();
         let mut x = Matrix::zeros(n, n);
-        let mut x_plus_u = Matrix::zeros(n, n);
+        let mut z_new = Matrix::zeros(n, n);
         let mut delta = Matrix::zeros(n, n);
         let mut z = Matrix::zeros(n, n);
         let mut u = Matrix::zeros(n, n);
@@ -281,8 +287,8 @@ impl SdpProblem {
                 }
             }
             // Z-update: PSD projection of X + U.
-            zip_into(&mut x_plus_u, &x, &u, |xk, uk| xk + uk);
-            let z_new = x_plus_u.psd_projection()?;
+            zip_into(&mut z_new, &x, &u, |xk, uk| xk + uk);
+            z_new.project_psd_in_place(&mut scratch)?;
             // Dual update.
             for ((uk, &xk), &zk) in u
                 .as_mut_slice()
@@ -300,7 +306,7 @@ impl SdpProblem {
             // consensus residual ~0 at a feasible but suboptimal point.
             zip_into(&mut delta, &z_new, &z, |new, old| new - old);
             let dual = rho * delta.frobenius_norm();
-            z = z_new;
+            std::mem::swap(&mut z, &mut z_new);
             residual = diff.max(self.constraint_residual(&z)).max(dual);
             if residual < settings.tol {
                 return Ok(SdpSolution {

@@ -32,9 +32,17 @@ fn sdp_and_warm_qp_answers_are_pinned_bit_for_bit() {
         .as_slice()
         .iter()
         .fold(0u64, |h, x| h.rotate_left(7) ^ x.to_bits());
-    assert_eq!(res.trace.to_bits(), 0x4028_c837_f886_46f7);
+    // Was trace 0x4028_c837_f886_46f7, 42 iterations and R_c fold
+    // 0xe49a_5b42_9d16_d241 with every projection taken through the full
+    // eigendecomposition. The partial route computes only the smaller
+    // side of the spectrum, a rounding change: the trace must stay within
+    // 1e-10 relative of the old pin and the iteration count within ±2.
+    let old_trace = f64::from_bits(0x4028_c837_f886_46f7);
+    assert!((res.trace - old_trace).abs() <= 1e-10 * old_trace.abs());
+    assert!(res.sdp_iterations.abs_diff(42) <= 2);
+    assert_eq!(res.trace.to_bits(), 0x4028_c837_f886_46f6);
     assert_eq!(res.sdp_iterations, 42);
-    assert_eq!(r_c_fold, 0xe49a_5b42_9d16_d241);
+    assert_eq!(r_c_fold, 0x1fcf_1338_f55e_ae43);
 
     // A drifting 6-variable QP: q drifts every step, step 3 repeats step 2
     // exactly, and P drifts from step 6 on (a hit that must refactorize).

@@ -1,6 +1,7 @@
 //! Dense factorizations: a blocked right-looking Cholesky on register
-//! tiles, Householder QR, and a tridiagonalization + implicit-QL
-//! symmetric eigensolver.
+//! tiles, Householder QR, a tridiagonalization + implicit-QL symmetric
+//! eigensolver, and the projection onto the PSD cone built on its
+//! reduction.
 //!
 //! ## Bit-identity
 //!
@@ -23,11 +24,17 @@
 //! solver it replaced. `tests/eigh_reference.rs` keeps that solver and
 //! pins eigenvalues, eigenvectors and errors to it bit for bit.
 //!
+//! [`psd_projection`] shares [`eigh`]'s reduction bit for bit. When one
+//! side of the spectrum is small it computes only that side, by
+//! bisection and inverse iteration, with a rounding profile of its own:
+//! its oracle is a tolerance against the full-spectrum projection
+//! (`rcr-linalg`'s `tests/psd_oracle.rs`), not bits.
+//!
 //! ## Allocation
 //!
 //! Cholesky uses fixed-size stack tiles and QR works in its caller's
-//! buffers only. The eigensolver checks its accumulation workspaces out of
-//! a caller-provided [`Scratch`] pool (2-D panels via
+//! buffers only. The eigensolver and the projection check their
+//! workspaces out of a caller-provided [`Scratch`] pool (2-D panels via
 //! [`Scratch::take_mat`]), so steady-state repeated factorizations perform
 //! no heap allocation.
 
@@ -438,21 +445,14 @@ pub fn eigh(a: &mut [f64], n: usize, vals: &mut [f64], s: &mut Scratch) -> Resul
     let mut w = s.take_f64(n, 0.0);
     let mut zt = s.take_mat(n, n, 0.0);
 
-    for i in 1..n {
-        for j in 0..i {
-            a[j * n + i] = a[i * n + j];
-        }
-    }
+    mirror_lower(a, n);
     tridiagonalize(a, n, &mut e, &mut tau, &mut w);
     for i in 0..n {
         vals[i] = a[i * n + i];
     }
-    accumulate_tridiag_qt(a, n, &tau, &mut zt);
-    let result = tql2(vals, &mut e, &mut zt, n);
+    let result = tridiag_eigen(a, n, vals, &mut e, &tau, &mut zt);
 
     if result.is_ok() {
-        // Ascending IEEE total order with matching eigenvectors.
-        sort_eigh(vals, &mut zt, n);
         for (c, zrow) in zt.chunks_exact(n).enumerate() {
             for (r, &x) in zrow.iter().enumerate() {
                 a[r * n + c] = x;
@@ -464,6 +464,33 @@ pub fn eigh(a: &mut [f64], n: usize, vals: &mut [f64], s: &mut Scratch) -> Resul
     s.give_f64(w);
     s.give_mat(zt);
     result
+}
+
+/// Copies the strict lower triangle of `a` into its upper triangle.
+fn mirror_lower(a: &mut [f64], n: usize) {
+    for i in 1..n {
+        for j in 0..i {
+            a[j * n + i] = a[i * n + j];
+        }
+    }
+}
+
+/// Eigenpairs of a tridiagonalized matrix: the reflectors in `t` (as
+/// [`tridiagonalize`] leaves them) accumulated into `zt`, then implicit QL
+/// on `(d, e)` and the ascending IEEE-total-order sort. On success `d`
+/// holds the eigenvalues and row `c` of `zt` the eigenvector of `d[c]`.
+fn tridiag_eigen(
+    t: &[f64],
+    n: usize,
+    d: &mut [f64],
+    e: &mut [f64],
+    tau: &[f64],
+    zt: &mut [f64],
+) -> Result<(), usize> {
+    accumulate_tridiag_qt(t, n, tau, zt);
+    tql2(d, e, zt, n)?;
+    sort_eigh(d, zt, n);
+    Ok(())
 }
 
 /// Householder reduction to tridiagonal form of a fully symmetric `a`.
@@ -686,6 +713,574 @@ fn sort_eigh(vals: &mut [f64], zt: &mut [f64], n: usize) {
     }
 }
 
+// ---------------------------------------------------------------------
+// Projection onto the PSD cone from the small side of the spectrum
+// ---------------------------------------------------------------------
+
+/// Switch between the two routes of [`psd_projection`]: the partial
+/// route runs when the smaller side of the spectrum has `k` eigenvalues
+/// with `k · PSD_PARTIAL_DIVISOR <= n`, the full eigendecomposition
+/// otherwise. Each eigenpair the partial route computes costs a few
+/// Sturm counts and shifted tridiagonal solves, chains of dependent
+/// divisions of length `n`, plus `O(n²)` for its back-transform and its
+/// share of the rank-`k` update; the full route pays the `O(n³)`
+/// eigenvector accumulation, QL rotations and reconstruction at any `k`.
+/// Measured on a 2-vCPU VM against the full route (median of nine
+/// interleaved timings), the partial route takes 0.24× the time at
+/// `k = 1`, 0.31× at `k = 2`, 0.62× at `k = 8` and 0.92× at `k = 14` for
+/// `n = 32`, and breaks even near `k ≈ 0.4·n` for `n = 16..64`; at
+/// `k = n/2` it is 1.0–1.8× slower. A third keeps it on the side where
+/// it wins at every measured size.
+pub const PSD_PARTIAL_DIVISOR: usize = 3;
+
+/// Sturm-count bisections allowed per wanted eigenvalue. Halving a
+/// Gershgorin interval down to the `ε·‖T‖` cluster width takes at most
+/// ~55, so hitting this bound means non-monotone counts.
+const PSD_BISECT_MAX: usize = 128;
+
+/// Inverse-iteration steps allowed per eigenpair. Rayleigh-quotient
+/// shifts converge cubically, so an isolated eigenpair takes 2–4.
+const PSD_INVIT_MAX: usize = 10;
+
+/// Width, as a share of `‖T‖`, an isolating interval is bisected down to
+/// before inverse iteration starts from its midpoint.
+const PSD_NARROW: f64 = 1.0 / 64.0;
+
+/// Multiple of `ε·‖T‖` within which an eigenvalue counts as zero: it
+/// belongs to neither side, and leaving it out moves the projection by
+/// at most its own size (a sum of orthogonal rank-1 projectors weighted
+/// by at most `δ` has no entry above `δ`). It keeps an exactly rank-`r`
+/// PSD input's zero cluster out of both sides.
+const PSD_ZERO_MULT: f64 = 4.0;
+
+/// Multiple of `ε·‖T‖` an eigenpair's residual `‖T·y − ρ·y‖₂` must reach.
+const PSD_RESIDUAL_MULT: f64 = 8.0;
+
+/// Multiple of `ε·‖T‖` a residual that a step no longer halves may stop
+/// at: the floor a cluster member reaches after Gram–Schmidt against the
+/// members before it, whose own errors it inherits.
+const PSD_STALL_MULT: f64 = 128.0;
+
+/// Euclidean projection of the symmetric `a` (`n x n` row-major) onto the
+/// positive semidefinite cone, in place: on success `a` holds
+/// `Σ_{λ>0} λ·v·vᵀ`. Only the lower triangle is read; it is mirrored
+/// into the upper triangle on entry. Workspaces come from `s`; a warmed
+/// pool makes repeated same-size calls allocation-free.
+///
+/// The reduction is [`eigh`]'s, bit for bit. One Sturm count either side
+/// of zero then splits the spectrum, and when the smaller side has few
+/// enough eigenvalues (see [`PSD_PARTIAL_DIVISOR`]) only those are
+/// computed:
+///
+/// 1. bisection with Sturm counts until the wanted eigenvalue is alone
+///    in its interval (or the interval is `2ε` wide inside a cluster);
+/// 2. inverse iteration with Rayleigh-quotient shifts that stay inside
+///    that interval, each step a pivoted tridiagonal solve followed by
+///    modified Gram–Schmidt against the side's earlier vectors, until the
+///    residual reaches `PSD_RESIDUAL_MULT·ε·‖T‖`; `λ` is the Rayleigh
+///    quotient;
+/// 3. the back-transform of the `k` vectors through the stored
+///    reflectors, `O(n²k)`;
+/// 4. `Σ λ·y·yᵀ` over the positive side, or `A − Σ λ·y·yᵀ` over the
+///    negative side.
+///
+/// Eigenvalues within `PSD_ZERO_MULT·ε·‖T‖` of zero are left out of both
+/// sides. A larger small side, or an eigenpair that does not converge,
+/// takes the full route instead: [`eigh`]'s accumulation, QL and sort,
+/// then `V·diag(max(λ, 0))·Vᵀ` through [`gemm`](crate::gemm::gemm), the
+/// bits of an eigendecomposition followed by that product.
+///
+/// # Errors
+/// `Err(iterations)` if the full route's QL iteration fails to converge
+/// (practically unreachable for finite symmetric input).
+pub fn psd_projection(a: &mut [f64], n: usize, s: &mut Scratch) -> Result<(), usize> {
+    debug_assert!(a.len() == n * n);
+    if n == 0 {
+        return Ok(());
+    }
+    mirror_lower(a, n);
+    let mut t = s.take_mat(n, n, 0.0);
+    t.copy_from_slice(a);
+    let mut d = s.take_f64(n, 0.0);
+    let mut e = s.take_f64(n, 0.0);
+    let mut tau = s.take_f64(n, 0.0);
+    let mut w = s.take_f64(n, 0.0);
+    tridiagonalize(&mut t, n, &mut e, &mut tau, &mut w);
+    for (i, di) in d.iter_mut().enumerate() {
+        *di = t[i * n + i];
+    }
+    let result = if psd_partial(a, &t, n, &d, &e, &tau, s) {
+        Ok(())
+    } else {
+        psd_full(a, &t, n, &mut d, &mut e, &tau, s)
+    };
+    s.give_mat(t);
+    s.give_f64(d);
+    s.give_f64(e);
+    s.give_f64(tau);
+    s.give_f64(w);
+    result
+}
+
+/// The full route of [`psd_projection`]: every eigenpair, then
+/// `a = V·diag(max(λ, 0))·Vᵀ`. `Vᵀ` is `zt` itself.
+fn psd_full(
+    a: &mut [f64],
+    t: &[f64],
+    n: usize,
+    d: &mut [f64],
+    e: &mut [f64],
+    tau: &[f64],
+    s: &mut Scratch,
+) -> Result<(), usize> {
+    let mut zt = s.take_mat(n, n, 0.0);
+    let result = tridiag_eigen(t, n, d, e, tau, &mut zt);
+    if result.is_ok() {
+        let mut vd = s.take_mat(n, n, 0.0);
+        for (r, row) in vd.chunks_exact_mut(n).enumerate() {
+            for (c, x) in row.iter_mut().enumerate() {
+                *x = zt[c * n + r] * d[c].max(0.0);
+            }
+        }
+        crate::gemm::gemm(n, n, n, &vd, &zt, a);
+        s.give_mat(vd);
+    }
+    s.give_mat(zt);
+    result
+}
+
+/// What [`psd_partial`] knows about the tridiagonal `T`.
+struct Tridiag<'a> {
+    d: &'a [f64],
+    /// Subdiagonal, `n − 1` entries.
+    sub: &'a [f64],
+    /// `e2[0] = 0`, `e2[i] = sub[i − 1]²`: the Sturm recurrence's terms.
+    e2: &'a [f64],
+    /// Smallest pivot magnitude the Sturm recurrence lets through.
+    pivmin: f64,
+    /// The Gershgorin interval, widened so that no count at its ends
+    /// can miss an eigenvalue.
+    lo: f64,
+    hi: f64,
+    /// `‖T‖`, the larger end of the Gershgorin interval in magnitude.
+    norm: f64,
+    /// `ε·‖T‖`.
+    eps_norm: f64,
+}
+
+impl Tridiag<'_> {
+    /// Number of eigenvalues below `x` (a pivot within `pivmin` of zero
+    /// counts as negative, so an eigenvalue equal to `x` may count).
+    fn count_below(&self, x: f64) -> usize {
+        let mut count = 0;
+        let mut q = 1.0;
+        for (&di, &e2i) in self.d.iter().zip(self.e2) {
+            q = (di - x) - e2i / q;
+            if q.abs() < self.pivmin {
+                q = -self.pivmin;
+            }
+            if q <= 0.0 {
+                count += 1;
+            }
+        }
+        count
+    }
+
+    /// Solves `(T − σI)·y = b` in place (`y` enters as `b`) by Gaussian
+    /// elimination with partial pivoting; a final pivot below `ε·‖T‖`
+    /// is raised to it, as inverse iteration wants. `u` holds three
+    /// `n`-length rows for the factor.
+    fn solve_shifted(&self, sigma: f64, y: &mut [f64], u: &mut [f64]) {
+        let n = self.d.len();
+        let (u0, rest) = u.split_at_mut(n);
+        let (u1, u2) = rest.split_at_mut(n);
+        let pivtol = self.eps_norm.max(self.pivmin);
+        // The row being eliminated: entries at columns i and i+1, and its
+        // right-hand side.
+        let mut p0 = self.d[0] - sigma;
+        let mut p1 = self.sub.first().copied().unwrap_or(0.0);
+        let mut rb = y[0];
+        for i in 0..n - 1 {
+            let s = self.sub[i];
+            let dn = self.d[i + 1] - sigma;
+            let en = self.sub.get(i + 1).copied().unwrap_or(0.0);
+            let bn = y[i + 1];
+            if p0.abs() >= s.abs() {
+                let l = if p0 == 0.0 { 0.0 } else { s / p0 };
+                (u0[i], u1[i], u2[i], y[i]) = (p0, p1, 0.0, rb);
+                (p0, p1, rb) = (dn - l * p1, en, bn - l * rb);
+            } else {
+                let l = p0 / s;
+                (u0[i], u1[i], u2[i], y[i]) = (s, dn, en, bn);
+                (p0, p1, rb) = (p1 - l * dn, -l * en, rb - l * bn);
+            }
+        }
+        u0[n - 1] = p0;
+        y[n - 1] = rb;
+        for i in (0..n).rev() {
+            let mut v = y[i];
+            if i + 1 < n {
+                v -= u1[i] * y[i + 1];
+            }
+            if i + 2 < n {
+                v -= u2[i] * y[i + 2];
+            }
+            let p = if u0[i].abs() < pivtol {
+                pivtol.copysign(u0[i])
+            } else {
+                u0[i]
+            };
+            y[i] = v / p;
+        }
+    }
+
+    /// Rayleigh quotient `ρ = yᵀ·T·y` of a unit `y` and the residual
+    /// `‖T·y − ρ·y‖₂`; `ty` receives `T·y`.
+    fn rayleigh(&self, y: &[f64], ty: &mut [f64]) -> (f64, f64) {
+        let n = self.d.len();
+        let mut rho = 0.0;
+        for i in 0..n {
+            let mut v = self.d[i] * y[i];
+            if i > 0 {
+                v += self.sub[i - 1] * y[i - 1];
+            }
+            if i + 1 < n {
+                v += self.sub[i] * y[i + 1];
+            }
+            ty[i] = v;
+            rho += v * y[i];
+        }
+        let mut r2 = 0.0;
+        for (&tyi, &yi) in ty[..n].iter().zip(y) {
+            let r = tyi - rho * yi;
+            r2 += r * r;
+        }
+        (rho, r2.sqrt())
+    }
+}
+
+/// Scales `y` to unit 2-norm (max-abs first, so no square overflows);
+/// `false` for a zero or non-finite vector.
+fn normalize(y: &mut [f64]) -> bool {
+    let m = y.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    if !(m > 0.0 && m.is_finite()) {
+        return false;
+    }
+    let mut ss = 0.0;
+    for v in y.iter_mut() {
+        *v /= m;
+        ss += *v * *v;
+    }
+    let inv = 1.0 / ss.sqrt();
+    for v in y.iter_mut() {
+        *v *= inv;
+    }
+    true
+}
+
+/// Deterministic start vector for eigenpair `j`: entries in `[−1, 1)`
+/// from a splitmix64 stream, so cluster members start apart.
+fn start_vector(y: &mut [f64], j: usize) {
+    let mut state = 0x5EED_0000_0000_0000u64 ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for v in y.iter_mut() {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        *v = (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0;
+    }
+}
+
+/// The partial route of [`psd_projection`] on the tridiagonal reduction
+/// `t` (reflectors in its rows, `τ` in `tau`) with diagonal `d` and
+/// subdiagonal `e`. Writes the projection into `a` (which holds the
+/// mirrored input) and returns `true`; returns `false` with `a` untouched
+/// when the smaller side is too large or some eigenpair fails to
+/// converge.
+fn psd_partial(
+    a: &mut [f64],
+    t: &[f64],
+    n: usize,
+    d: &[f64],
+    e: &[f64],
+    tau: &[f64],
+    s: &mut Scratch,
+) -> bool {
+    let sub = &e[..n - 1];
+    let mut glo = f64::INFINITY;
+    let mut ghi = f64::NEG_INFINITY;
+    let mut e2 = s.take_f64(n, 0.0);
+    for (i, &di) in d.iter().enumerate() {
+        let left = if i > 0 { sub[i - 1].abs() } else { 0.0 };
+        let right = sub.get(i).map_or(0.0, |x| x.abs());
+        glo = glo.min(di - left - right);
+        ghi = ghi.max(di + left + right);
+        if i > 0 {
+            e2[i] = sub[i - 1] * sub[i - 1];
+        }
+    }
+    let norm = glo.abs().max(ghi.abs());
+    let pivmin = f64::MIN_POSITIVE * e2.iter().fold(1.0f64, |m, &v| m.max(v));
+    let slack = 2.0 * f64::EPSILON * norm + 2.0 * pivmin;
+    let tri = Tridiag {
+        d,
+        sub,
+        e2: &e2,
+        pivmin,
+        lo: glo - slack,
+        hi: ghi + slack,
+        norm,
+        eps_norm: f64::EPSILON * norm,
+    };
+    let done = norm.is_finite() && partial_on(a, t, n, tau, &tri, s);
+    s.give_f64(e2);
+    done
+}
+
+/// [`psd_partial`] once the Sturm data are known.
+fn partial_on(
+    a: &mut [f64],
+    t: &[f64],
+    n: usize,
+    tau: &[f64],
+    tri: &Tridiag<'_>,
+    s: &mut Scratch,
+) -> bool {
+    let zero = PSD_ZERO_MULT * tri.eps_norm;
+    let below_neg = tri.count_below(-zero);
+    let below_pos = tri.count_below(zero);
+    if below_pos < below_neg {
+        return false;
+    }
+    // The wanted eigenvalues are indices first..first + k of the
+    // ascending spectrum, inside [lo, hi] with lo's count ≤ first and
+    // hi's count ≥ first + k.
+    let positive = n - below_pos <= below_neg;
+    let (first, k, lo, hi) = if positive {
+        (below_pos, n - below_pos, (zero, below_pos), (tri.hi, n))
+    } else {
+        (0, below_neg, (tri.lo, 0), (-zero, below_neg))
+    };
+    if k * PSD_PARTIAL_DIVISOR > n {
+        return false;
+    }
+    let mut ys = s.take_mat(k, n, 0.0);
+    let mut lam = s.take_f64(k, 0.0);
+    let mut work = s.take_f64(3 * n, 0.0);
+    // Upper probes `(x, count below x)`, x descending and count
+    // non-increasing from bottom to top, one per count: the top is the
+    // tightest upper bound for the next wanted index.
+    let mut uppers = s.take_pairs(n + 1, (0.0, 0.0));
+    uppers[0] = (hi.0, hi.1 as f64);
+    let ok = find_eigenpairs(tri, first, lo, &mut uppers, &mut ys, &mut lam, &mut work);
+    if ok {
+        back_transform(t, n, tau, &mut ys);
+        rank_k_update(a, n, &ys, &lam, positive);
+    }
+    s.give_mat(ys);
+    s.give_f64(lam);
+    s.give_f64(work);
+    s.give_pairs(uppers);
+    ok
+}
+
+/// Computes eigenpairs `first..first + k` of `T` (`k = lam.len()`) into
+/// the rows of `ys` and `lam`. `lo` is a lower bound with its Sturm
+/// count, `uppers[0]` an upper bound for every wanted eigenvalue.
+fn find_eigenpairs(
+    tri: &Tridiag<'_>,
+    first: usize,
+    lo: (f64, usize),
+    uppers: &mut [(f64, f64)],
+    ys: &mut [f64],
+    lam: &mut [f64],
+    work: &mut [f64],
+) -> bool {
+    let n = tri.d.len();
+    let (mut lo, mut clo) = lo;
+    let mut top = 0;
+    for m in 0..lam.len() {
+        let j = first + m;
+        // Probes whose count is ≤ j now bound eigenvalue j from below.
+        while top > 0 && uppers[top].1 as usize <= j {
+            let (x, c) = uppers[top];
+            if x > lo {
+                (lo, clo) = (x, c as usize);
+            }
+            top -= 1;
+        }
+        let (mut hi, mut chi) = (uppers[top].0, uppers[top].1 as usize);
+        if chi <= j || clo > j {
+            return false;
+        }
+        // Bisect until eigenvalue j is alone in [lo, hi] or the interval
+        // is as narrow as the cluster it sits in.
+        let mut steps = 0;
+        let narrow = PSD_NARROW * tri.norm;
+        while (chi - clo > 1 || hi - lo > narrow)
+            && hi - lo > 2.0 * f64::EPSILON * lo.abs().max(hi.abs()) + tri.eps_norm
+        {
+            steps += 1;
+            if steps > PSD_BISECT_MAX {
+                return false;
+            }
+            let mid = 0.5 * (lo + hi);
+            let c = tri.count_below(mid);
+            if c < clo || c > chi {
+                return false;
+            }
+            if c <= j {
+                (lo, clo) = (mid, c);
+            } else {
+                (hi, chi) = (mid, c);
+                if c == uppers[top].1 as usize {
+                    uppers[top].0 = mid;
+                } else {
+                    top += 1;
+                    if top >= uppers.len() {
+                        return false;
+                    }
+                    uppers[top] = (mid, c as f64);
+                }
+            }
+        }
+        let isolated = chi - clo == 1;
+        let (done, rest) = ys.split_at_mut(m * n);
+        let y = &mut rest[..n];
+        let Some(l) = inverse_iteration(tri, j, (&mut lo, &mut hi), isolated, done, y, work) else {
+            return false;
+        };
+        lam[m] = l;
+        if isolated {
+            // Eigenvalue j + 1 lies above this interval.
+            (lo, clo) = (hi, j + 1);
+        }
+    }
+    true
+}
+
+/// Inverse iteration for eigenpair `j`, inside `[lo, hi]`, into `y`;
+/// `done` holds the side's earlier unit vectors (rows of `n`). When
+/// `isolated`, the shift follows the Rayleigh quotient while it stays
+/// inside the interval and the interval is bisected when it does not.
+/// Returns the eigenvalue, or `None` if the residual does not reach
+/// `PSD_RESIDUAL_MULT·ε·‖T‖`.
+fn inverse_iteration(
+    tri: &Tridiag<'_>,
+    j: usize,
+    (lo, hi): (&mut f64, &mut f64),
+    isolated: bool,
+    done: &[f64],
+    y: &mut [f64],
+    work: &mut [f64],
+) -> Option<f64> {
+    let n = y.len();
+    let res_tol = PSD_RESIDUAL_MULT * tri.eps_norm;
+    let stall_tol = PSD_STALL_MULT * tri.eps_norm;
+    let mut prev = f64::INFINITY;
+    start_vector(y, j);
+    let mut sigma = 0.5 * (*lo + *hi);
+    for _ in 0..PSD_INVIT_MAX {
+        tri.solve_shifted(sigma, y, work);
+        // Twice, so a vector that lies mostly in the span of earlier
+        // cluster members keeps an orthogonal remainder free of the
+        // cancellation the first pass leaves.
+        for _ in 0..2 {
+            for q in done.chunks_exact(n) {
+                let dot = dot_lanes(q, y);
+                for (yi, &qi) in y.iter_mut().zip(q) {
+                    *yi -= dot * qi;
+                }
+            }
+        }
+        if !normalize(y) {
+            return None;
+        }
+        let (rho, res) = tri.rayleigh(y, work);
+        // An eigenvalue lies within `res` of ρ; one within the cluster
+        // width of the interval is eigenvalue j or indistinguishable
+        // from it.
+        let slack = res + 2.0 * f64::EPSILON * lo.abs().max(hi.abs()) + tri.eps_norm;
+        let inside = rho >= *lo - slack && rho <= *hi + slack;
+        if inside && (res <= res_tol || (res >= 0.5 * prev && res <= stall_tol)) {
+            return Some(rho);
+        }
+        prev = res;
+        if isolated {
+            if rho > *lo && rho < *hi {
+                sigma = rho;
+            } else {
+                let mid = 0.5 * (*lo + *hi);
+                if tri.count_below(mid) <= j {
+                    *lo = mid;
+                } else {
+                    *hi = mid;
+                }
+                sigma = 0.5 * (*lo + *hi);
+            }
+        }
+    }
+    None
+}
+
+/// Applies `Q = H_0 ⋯ H_{n−3}` of the reduction in `t` to every row of
+/// `ys` (`H_{n−3}` first), each reflector's dot and update walking one
+/// row.
+fn back_transform(t: &[f64], n: usize, tau: &[f64], ys: &mut [f64]) {
+    for k in (0..n.saturating_sub(2)).rev() {
+        if tau[k] == 0.0 {
+            continue;
+        }
+        let lo = k + 1;
+        let v = &t[k * n + lo..lo * n];
+        for y in ys.chunks_exact_mut(n) {
+            let y = &mut y[lo..];
+            let f = tau[k] * dot_lanes(v, y);
+            for (yi, &vi) in y.iter_mut().zip(v) {
+                *yi -= f * vi;
+            }
+        }
+    }
+}
+
+/// `Σ a_i·b_i` in four interleaved partial sums, so the adds pipeline
+/// (the partial route has no fold order to keep).
+fn dot_lanes(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = [0.0f64; 4];
+    let mut ca = a.chunks_exact(4);
+    let mut cb = b.chunks_exact(4);
+    for (x, y) in (&mut ca).zip(&mut cb) {
+        for l in 0..4 {
+            acc[l] += x[l] * y[l];
+        }
+    }
+    let mut tail = 0.0;
+    for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+        tail += x * y;
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
+}
+
+/// `a = Σ λ·y·yᵀ` (`positive`) or `a −= Σ λ·y·yᵀ` over the rows `y` of
+/// `ys`, on the lower triangle, then mirrored.
+fn rank_k_update(a: &mut [f64], n: usize, ys: &[f64], lam: &[f64], positive: bool) {
+    if positive {
+        a.fill(0.0);
+    }
+    let sign = if positive { 1.0 } else { -1.0 };
+    for r in 0..n {
+        let row = &mut a[r * n..r * n + r + 1];
+        for (y, &l) in ys.chunks_exact(n).zip(lam) {
+            let coef = sign * l * y[r];
+            for (p, &yc) in row.iter_mut().zip(&y[..=r]) {
+                *p += coef * yc;
+            }
+        }
+    }
+    mirror_lower(a, n);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,5 +1359,46 @@ mod tests {
             eigh(&mut v, n, &mut vals, &mut scratch).unwrap();
         }
         assert_eq!(scratch.cold_allocs(), cold, "warm eigh must not allocate");
+    }
+
+    #[test]
+    fn psd_projection_steady_state_reuses_scratch() {
+        // One dominant positive mode on a negative definite matrix (the
+        // partial route, k = 1) and a spectrum cut near its middle (the
+        // full route), interleaved on one pool.
+        let n = 24;
+        let mut partial = spd(n, 3);
+        for (i, x) in partial.iter_mut().enumerate() {
+            *x = if i == 0 { 50.0 } else { -*x };
+        }
+        let mut full = spd(n, 5);
+        for i in 0..n {
+            full[i * n + i] -= 2.0;
+        }
+        let mut scratch = Scratch::new();
+        let fresh: Vec<Vec<f64>> = [&partial, &full]
+            .iter()
+            .map(|a| {
+                let mut p = a.to_vec();
+                psd_projection(&mut p, n, &mut Scratch::new()).unwrap();
+                p
+            })
+            .collect();
+        let mut cold = None;
+        for round in 0..4 {
+            for (a, want) in [&partial, &full].iter().zip(&fresh) {
+                let mut p = a.to_vec();
+                psd_projection(&mut p, n, &mut scratch).unwrap();
+                assert_eq!(&p, want, "a reused pool must not change the answer");
+            }
+            if round == 0 {
+                cold = Some(scratch.cold_allocs());
+            }
+        }
+        assert_eq!(
+            Some(scratch.cold_allocs()),
+            cold,
+            "warm projection must not allocate"
+        );
     }
 }

@@ -17,7 +17,10 @@
 //! results are byte-identical to the naive reference — including signed-zero
 //! and `0.0 * inf = NaN` edge cases. The contract is pinned by the proptest
 //! suite in `tests/proptests.rs` and by fixed-seed equivalence tests in the
-//! consumer crates.
+//! consumer crates. The symmetric eigensolver has no naive loop to match and
+//! is pinned bit for bit to the strided-layout solver it replaced; the PSD
+//! projection's partial route is pinned by a tolerance oracle (see
+//! [`factor`]).
 //!
 //! ## Allocation discipline
 //!
@@ -31,7 +34,8 @@ pub mod gemm;
 pub mod scratch;
 
 pub use factor::{
-    cholesky, cholesky_unblocked, cholesky_with_block, eigh, qr, qr_thin_q, FACTOR_NB,
+    cholesky, cholesky_unblocked, cholesky_with_block, eigh, psd_projection, qr, qr_thin_q,
+    FACTOR_NB, PSD_PARTIAL_DIVISOR,
 };
 pub use gemm::{
     axpy, dot, gemm, gemm_naive, gemv, gemv_bias, gemv_t, mul_into, norm_inf_diff, MR, NR,

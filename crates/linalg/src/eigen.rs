@@ -100,25 +100,6 @@ impl SymmetricEigen {
         &self.eigenvectors
     }
 
-    /// Rebuilds `V * diag(vals) * V^T` using caller-provided eigenvalues —
-    /// the primitive behind spectral functions (PSD projection, matrix
-    /// square roots, etc.).
-    ///
-    /// # Errors
-    /// [`LinalgError::DimensionMismatch`] when `vals.len()` differs from `n`.
-    pub fn reconstruct_with(&self, vals: &[f64]) -> Result<Matrix, LinalgError> {
-        let n = self.eigenvalues.len();
-        if vals.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                op: "eigen reconstruct",
-                got: vec![n, vals.len()],
-            });
-        }
-        // V * diag(vals)
-        let vd = Matrix::from_fn(n, n, |r, c| self.eigenvectors[(r, c)] * vals[c]);
-        vd.matmul(&self.eigenvectors.transpose())
-    }
-
     /// Numerical rank: eigenvalues with `|λ| > tol` count toward the rank.
     pub fn rank(&self, tol: f64) -> usize {
         self.eigenvalues.iter().filter(|l| l.abs() > tol).count()
@@ -149,12 +130,20 @@ mod tests {
         assert!((v[(0, 1)].abs() - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-10);
     }
 
+    /// `V·diag(λ)·Vᵀ` of a decomposition.
+    fn reconstruct(e: &SymmetricEigen) -> Matrix {
+        let v = e.eigenvectors();
+        let n = v.rows();
+        let vd = Matrix::from_fn(n, n, |r, c| v[(r, c)] * e.eigenvalues()[c]);
+        vd.matmul(&v.transpose()).unwrap()
+    }
+
     #[test]
     fn reconstruction_roundtrip() {
         let a =
             Matrix::from_rows(&[&[4.0, 1.0, -2.0], &[1.0, 2.0, 0.0], &[-2.0, 0.0, 3.0]]).unwrap();
         let e = a.symmetric_eigen().unwrap();
-        assert!((&e.reconstruct_with(e.eigenvalues()).unwrap() - &a).max_abs() < 1e-10);
+        assert!((&reconstruct(&e) - &a).max_abs() < 1e-10);
     }
 
     #[test]
@@ -268,7 +257,7 @@ mod tests {
                 assert!(w[0] <= w[1], "n={n}: eigenvalues must be ascending");
             }
             assert!(
-                (&e.reconstruct_with(e.eigenvalues()).unwrap() - &a).max_abs() < tol,
+                (&reconstruct(&e) - &a).max_abs() < tol,
                 "n={n}: reconstruction"
             );
             let vtv = e

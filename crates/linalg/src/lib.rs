@@ -13,9 +13,12 @@
 //!   solvers.
 //! * [`QrDecomposition`] — Householder QR and least-squares solves.
 //! * [`SymmetricEigen`] — eigendecomposition of symmetric matrices
-//!   (Householder tridiagonalization + implicit QL at every size), the
-//!   workhorse behind [`Matrix::psd_projection`] (projection onto the
-//!   positive semidefinite cone) needed by the SDP solver.
+//!   (Householder tridiagonalization + implicit QL at every size).
+//! * [`Matrix::psd_projection`] and [`Matrix::project_psd_in_place`] —
+//!   projection onto the positive semidefinite cone, the SDP solver's
+//!   Z-update. The same tridiagonal reduction, then only the smaller side
+//!   of the spectrum when it holds at most a third of the eigenvalues
+//!   (bisection and inverse iteration), or every eigenpair otherwise.
 //!
 //! # Example
 //!

@@ -473,16 +473,73 @@ impl Matrix {
     /// clipping negative eigenvalues to zero (the Euclidean projection).
     ///
     /// This is the core primitive of the conic-ADMM SDP solver used for the
-    /// paper's trace-minimization relaxation (Eq. 10).
+    /// paper's trace-minimization relaxation (Eq. 10). The matrix is
+    /// symmetrized first, so mild asymmetry is tolerated. The work is
+    /// [`Matrix::project_psd_in_place`] on a copy.
     ///
     /// # Errors
-    /// Returns [`LinalgError::NotSquare`] for non-square input; the matrix is
-    /// symmetrized first, so mild asymmetry is tolerated.
+    /// * [`LinalgError::NotSquare`] for non-square input.
+    /// * [`LinalgError::NotFinite`] for NaN/inf entries.
+    /// * [`LinalgError::NonConvergence`] if the eigensolver fails to
+    ///   converge (practically unreachable for finite input).
     pub fn psd_projection(&self) -> Result<Matrix, LinalgError> {
-        let sym = self.symmetrize()?;
-        let eig = sym.symmetric_eigen()?;
-        let clipped: Vec<f64> = eig.eigenvalues().iter().map(|&l| l.max(0.0)).collect();
-        eig.reconstruct_with(&clipped)
+        let mut p = self.clone();
+        p.project_psd_in_place(&mut rcr_kernels::Scratch::new())?;
+        Ok(p)
+    }
+
+    /// Replaces `self` by its projection onto the positive semidefinite
+    /// cone, with the kernel's workspaces drawn from `scratch`: the bits
+    /// of [`Matrix::psd_projection`], and once the pool is warm no heap
+    /// allocation, so an iterative solver can project every iteration into
+    /// the same buffer.
+    ///
+    /// `self` is replaced by its symmetric part `(A + Aᵀ)/2`, then
+    /// `rcr_kernels::psd_projection` reduces it to tridiagonal form and,
+    /// when one side of the spectrum has at most `n /
+    /// rcr_kernels::PSD_PARTIAL_DIVISOR` eigenvalues, computes only those
+    /// (`Σ λ·v·vᵀ` over the positive ones, or `A − Σ λ·v·vᵀ` over the
+    /// negative ones); otherwise it takes every eigenpair and rebuilds
+    /// `V·diag(max(λ, 0))·Vᵀ`.
+    ///
+    /// # Errors
+    /// As for [`Matrix::psd_projection`]; on an error the contents of
+    /// `self` are unspecified.
+    pub fn project_psd_in_place(
+        &mut self,
+        scratch: &mut rcr_kernels::Scratch,
+    ) -> Result<(), LinalgError> {
+        if !self.is_square() {
+            return Err(LinalgError::NotSquare {
+                rows: self.rows,
+                cols: self.cols,
+            });
+        }
+        let n = self.rows;
+        // The entries of `symmetrize`: each pair's one sum, halved, goes
+        // to both positions (IEEE addition commutes), and the diagonal is
+        // `0.5·(a + a)` too, so an overflowing one turns infinite there as
+        // well.
+        for r in 0..n {
+            let (above, rest) = self.data.split_at_mut(r * n);
+            let mut column = above.iter_mut().skip(r).step_by(n.max(1));
+            for (c, x) in rest.iter_mut().take(r + 1).enumerate() {
+                let s = match column.next() {
+                    Some(upper) if c < r => {
+                        let s = 0.5 * (*x + *upper);
+                        *upper = s;
+                        s
+                    }
+                    _ => 0.5 * (*x + *x),
+                };
+                *x = s;
+            }
+        }
+        if !self.is_finite() {
+            return Err(LinalgError::NotFinite);
+        }
+        rcr_kernels::psd_projection(&mut self.data, n, scratch)
+            .map_err(|iterations| LinalgError::NonConvergence { iterations })
     }
 
     /// Smallest eigenvalue of the symmetrized matrix; a cheap PSD test.

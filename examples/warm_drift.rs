@@ -1,6 +1,6 @@
 //! Drifting-channel warm-start demo: the workload behind the
 //! EXPERIMENTS.md "Warm-start under channel drift" table and the
-//! `warm/` group in `BENCH_13.json`.
+//! `warm/` group in `BENCH_14.json`.
 //!
 //! A box QP stands in for one scheduling epoch of the rate-allocation
 //! problem: the quadratic term `P` (interference structure) and the

@@ -4,7 +4,7 @@
 #   --quick        builds (workspace and benchmark/), tests and warm_drift only
 #                  (skips rcr-lint, fmt, clippy, rustdoc, and bench compilation)
 #   --bench-smoke  also run the benchmark suite in smoke mode and diff the
-#                  results against the committed BENCH_13.json baseline
+#                  results against the committed BENCH_14.json baseline
 #                  (wall-time regressions beyond 25% of the host factor,
 #                  allocation-count drift, and the pinned blocked-GEMM
 #                  speedup / scratch-path allocation reductions all fail)
@@ -89,7 +89,7 @@ echo "== cargo doc (rustdoc warnings are errors) ==" >&2
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 if [ "$bench_smoke" -eq 1 ]; then
-  echo "== bench smoke + regression gate (vs BENCH_13.json) ==" >&2
+  echo "== bench smoke + regression gate (vs BENCH_14.json) ==" >&2
   # Cargo runs bench binaries with the package directory as CWD, so the
   # JSON path must be absolute to land in the workspace target/.
   bench_json="$(pwd)/target/bench_current.json"
@@ -100,7 +100,7 @@ if [ "$bench_smoke" -eq 1 ]; then
   for attempt in 1 2; do
     cargo bench -p rcr-bench --bench bench_kernels --features alloc-count -- \
       --smoke --save-json "$bench_json"
-    if cargo run -q -p rcr-bench --bin bench_gate -- "$bench_json" BENCH_13.json; then
+    if cargo run -q -p rcr-bench --bin bench_gate -- "$bench_json" BENCH_14.json; then
       gate_ok=1
       break
     fi
