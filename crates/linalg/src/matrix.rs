@@ -523,16 +523,16 @@ impl Matrix {
         for r in 0..n {
             let (above, rest) = self.data.split_at_mut(r * n);
             let mut column = above.iter_mut().skip(r).step_by(n.max(1));
-            for (c, x) in rest.iter_mut().take(r + 1).enumerate() {
-                let s = match column.next() {
-                    Some(upper) if c < r => {
-                        let s = 0.5 * (*x + *upper);
-                        *upper = s;
-                        s
+            // Row r left of the diagonal pairs with column r above it;
+            // the column runs out exactly at the diagonal.
+            for x in rest.iter_mut().take(r + 1) {
+                *x = match column.next() {
+                    Some(upper) => {
+                        *upper = 0.5 * (*x + *upper);
+                        *upper
                     }
-                    _ => 0.5 * (*x + *x),
+                    None => 0.5 * (*x + *x),
                 };
-                *x = s;
             }
         }
         if !self.is_finite() {
